@@ -1,7 +1,8 @@
 # Build and verification tiers. `make check` is the full local gate:
-# static vetting, the complete test suite under the race detector, short
-# fuzz smokes of the trace parser, the journal replayer, the job-spec
-# decoder, the policy-registry wire form, and the fabric shard-plan ledger,
+# static vetting (the separate perfbench module included), the complete
+# test suite under the race detector, short fuzz smokes of the trace
+# parser, the journal replayer, the job-spec decoder, the policy-registry
+# wire form, and the fabric shard-plan ledger,
 # the kernel stress tests under -race, the parallel-sweep determinism proof
 # under -race, the durability (checkpoint/resume/retry) suite under -race,
 # the oracle/policy-zoo differential suite under -race, the sweep-service
@@ -13,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-sweep bench-guard
+.PHONY: build bench-build test check vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-sweep bench-guard
 
 build:
 	$(GO) build ./...
@@ -23,6 +24,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is a separate module, so `go test ./...` never compiles it; it
+# imports the single-cell runner (internal/expt) and the fleet engine, and
+# this keeps those call sites honest.
+bench-build:
+	cd perfbench && $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...
@@ -55,7 +62,7 @@ telemetry-race:
 # torn-tail recovery, kill-and-resume byte identity, retry/backoff of
 # transient faults, per-cell deadline budgets, and cache quarantine.
 durability-race:
-	$(GO) test -race -count=1 -run 'Durable|Resume|Retry|Timeout|Journal|Deadline|Corrupt|Spill|Transient' -v . ./internal/sweep/ ./internal/journal/ ./internal/expt/ ./internal/telemetry/
+	$(GO) test -race -count=1 -run 'Durable|Resume|Retry|Timeout|Journal|Deadline|Corrupt|Spill|Transient' -v . ./internal/sweep/ ./internal/journal/ ./internal/expt/ ./internal/paper/ ./cmd/experiments/ ./internal/telemetry/
 
 # The optimal-schedule oracle and the deadline-feasible policy zoo under
 # the race detector: the randomized differential suite (oracle lower-bounds
@@ -111,5 +118,5 @@ bench-sweep:
 bench-guard:
 	$(GO) run ./cmd/benchsweep -guard -baseline BENCH_sweep.json
 
-check: vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-guard
+check: vet bench-build race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-guard
 	@echo "check: all tiers passed"

@@ -1,13 +1,9 @@
 package clocksched
 
-// One benchmark per table and figure of the paper's evaluation — each
-// regenerates the corresponding result from scratch — plus ablation and
-// machinery benchmarks. Run with:
+// Ablation and machinery benchmarks; the per-table and per-figure
+// benchmarks live next to the experiments in internal/paper. Run with:
 //
 //	go test -bench=. -benchmem
-//
-// The Benchmark*/b.N loops re-run the full deterministic simulation, so
-// ns/op reports how long one complete reproduction takes.
 
 import (
 	"context"
@@ -16,181 +12,9 @@ import (
 	"time"
 
 	"clocksched/internal/cpu"
-	"clocksched/internal/expt"
 	"clocksched/internal/policy"
 	"clocksched/internal/sim"
 )
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, w := range expt.FigureWorkloads {
-			if _, err := expt.Figure3(w, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, w := range expt.FigureWorkloads {
-			if _, err := expt.Figure4(w, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := expt.Figure5()
-		if len(res.GoingIdle) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := expt.Table1()
-		if rows[6].Weighted != 5217 {
-			b.Fatal("Table 1 mismatch")
-		}
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.Figure6(9); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := expt.Figure7(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := expt.Figure8(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.Figure9(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := expt.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("Table 2 mismatch")
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := expt.Table3()
-		if rows[10].MemCycles != 20 {
-			b.Fatal("Table 3 mismatch")
-		}
-	}
-}
-
-func BenchmarkBatteryLifetime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.BatteryLifetime(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTransitionCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.TransitionCost(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSchedulerOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.SchedulerOverhead(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDeadlineComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.DeadlineComparison(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMartinOptimum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.MartinOptimum(2.0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPeringTradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.PeringTradeoff(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlaybackLifetime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.PlaybackLifetime(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkThresholdSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.ThresholdSensitivity(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWeiserOnWorkloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.WeiserOnWorkloads(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIdealDVSComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.IdealDVSComparison(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- ablation benchmarks for the design choices DESIGN.md calls out ---
 
@@ -204,7 +28,7 @@ func BenchmarkAblationSpeedSetters(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Run(Config{
 					Workload: MPEG,
-					Policy:   PeringAvgN(0, setter, setter),
+					Policy:   Policy{AvgN: 0, Up: setter, Down: setter, LoPercent: 50, HiPercent: 70},
 					Duration: 10 * time.Second,
 				})
 				if err != nil {
@@ -226,7 +50,7 @@ func BenchmarkAblationAvgN(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Run(Config{
 					Workload: MPEG,
-					Policy:   PeringAvgN(n, Peg, Peg),
+					Policy:   Policy{AvgN: n, Up: Peg, Down: Peg, LoPercent: 50, HiPercent: 70},
 					Duration: 10 * time.Second,
 				})
 				if err != nil {

@@ -52,7 +52,7 @@ func TestRunDefaults(t *testing.T) {
 func TestRunBestPolicy(t *testing.T) {
 	res, err := Run(Config{
 		Workload: MPEG,
-		Policy:   PASTPegPeg(),
+		Policy:   Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98},
 		Duration: 10 * time.Second,
 	})
 	if err != nil {
@@ -76,7 +76,7 @@ func TestRunSavesEnergyAtLowerConstantSpeed(t *testing.T) {
 	at := func(mhz float64, lowV bool) float64 {
 		res, err := Run(Config{
 			Workload: MPEG,
-			Policy:   ConstantPolicy(mhz, lowV),
+			Policy:   Policy{Constant: true, MHz: mhz, LowVoltage: lowV},
 			Duration: 10 * time.Second,
 		})
 		if err != nil {
@@ -96,7 +96,7 @@ func TestRunSavesEnergyAtLowerConstantSpeed(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 7, Duration: 5 * time.Second}
+	cfg := Config{Workload: MPEG, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 7, Duration: 5 * time.Second}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Duration: -time.Second}); err == nil {
 		t.Error("negative duration accepted")
 	}
-	if _, err := Run(Config{Policy: ConstantPolicy(206.4, true)}); err == nil {
+	if _, err := Run(Config{Policy: Policy{Constant: true, MHz: 206.4, LowVoltage: true}}); err == nil {
 		t.Error("1.23V at 206.4MHz accepted")
 	}
 	if _, err := Run(Config{Policy: Policy{AvgN: -1, Up: Peg, Down: Peg, LoPercent: 50, HiPercent: 70}}); err == nil {
@@ -150,17 +150,17 @@ func TestRunValidation(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	cases := map[string]Policy{
-		"Constant @ 206.4MHz, 1.5V":  ConstantPolicy(206.4, false),
-		"Constant @ 132.7MHz, 1.23V": ConstantPolicy(132.7, true),
-		"PAST, peg-peg, 93%-98%":     PASTPegPeg(),
-		"AVG_9, one-double, 50%-70%": PeringAvgN(9, One, Double),
+		"Constant @ 206.4MHz, 1.5V":  Policy{Constant: true, MHz: 206.4},
+		"Constant @ 132.7MHz, 1.23V": Policy{Constant: true, MHz: 132.7, LowVoltage: true},
+		"PAST, peg-peg, 93%-98%":     Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98},
+		"AVG_9, one-double, 50%-70%": Policy{AvgN: 9, Up: One, Down: Double, LoPercent: 50, HiPercent: 70},
 	}
 	for want, p := range cases {
 		if got := p.Name(); got != want {
 			t.Errorf("Name = %q, want %q", got, want)
 		}
 	}
-	vs := PASTPegPeg()
+	vs := Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}
 	vs.VoltageScale = true
 	if !strings.Contains(vs.Name(), "voltage scaling") {
 		t.Errorf("Name = %q", vs.Name())
@@ -224,7 +224,7 @@ func TestResultConsistency(t *testing.T) {
 func TestRunDeadlinePolicy(t *testing.T) {
 	res, err := Run(Config{
 		Workload: MPEG,
-		Policy:   DeadlinePolicy(true),
+		Policy:   Policy{Deadline: true, VoltageScale: true},
 		Duration: 10 * time.Second,
 	})
 	if err != nil {
@@ -247,15 +247,15 @@ func TestRunDeadlinePolicy(t *testing.T) {
 	if res.VoltageChanges == 0 {
 		t.Error("voltage scaling never engaged")
 	}
-	if DeadlinePolicy(true).Name() != "DEADLINE, voltage scaling" {
-		t.Errorf("Name = %q", DeadlinePolicy(true).Name())
+	if got := (Policy{Deadline: true, VoltageScale: true}).Name(); got != "DEADLINE, voltage scaling" {
+		t.Errorf("Name = %q", got)
 	}
 }
 
 func TestRunProportionalPolicy(t *testing.T) {
 	res, err := Run(Config{
 		Workload: MPEG,
-		Policy:   ProportionalPolicy(0, 70),
+		Policy:   Policy{Proportional: true, AvgN: 0, TargetPercent: 70},
 		Duration: 10 * time.Second,
 	})
 	if err != nil {
@@ -264,10 +264,10 @@ func TestRunProportionalPolicy(t *testing.T) {
 	if res.ClockChanges == 0 {
 		t.Error("proportional governor never moved")
 	}
-	if got := ProportionalPolicy(3, 70).Name(); got != "PROPORTIONAL(AVG_3, 70%)" {
+	if got := (Policy{Proportional: true, AvgN: 3, TargetPercent: 70}).Name(); got != "PROPORTIONAL(AVG_3, 70%)" {
 		t.Errorf("Name = %q", got)
 	}
-	if _, err := Run(Config{Policy: ProportionalPolicy(0, 0)}); err == nil {
+	if _, err := Run(Config{Policy: Policy{Proportional: true, AvgN: 0, TargetPercent: 0}}); err == nil {
 		t.Error("zero target accepted")
 	}
 	if _, err := Run(Config{Policy: Policy{Proportional: true, AvgN: -1, TargetPercent: 70}}); err == nil {
@@ -280,7 +280,7 @@ func TestRunFaultedDeterministic(t *testing.T) {
 	// fault schedule included.
 	cfg := Config{
 		Workload: MPEG,
-		Policy:   PASTPegPeg(),
+		Policy:   Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98},
 		Seed:     7,
 		Duration: 5 * time.Second,
 		Faults: &FaultPlan{
@@ -315,7 +315,7 @@ func TestRunFaultedDeterministic(t *testing.T) {
 
 func TestRunNilPlanMatchesUnfaulted(t *testing.T) {
 	// Disabling the fault layer must not perturb an existing seeded run.
-	cfg := Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 7, Duration: 5 * time.Second}
+	cfg := Config{Workload: MPEG, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 7, Duration: 5 * time.Second}
 	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestRunNilPlanMatchesUnfaulted(t *testing.T) {
 func TestRunFaultReportAndWatchdogReport(t *testing.T) {
 	res, err := Run(Config{
 		Workload: MPEG,
-		Policy:   PASTPegPeg(),
+		Policy:   Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98},
 		Seed:     1,
 		Duration: 10 * time.Second,
 		Faults:   &FaultPlan{ClockChangeFailProb: 0.01},
@@ -358,7 +358,7 @@ func TestRunFaultReportAndWatchdogReport(t *testing.T) {
 func TestRunWatchdogNeedsPolicy(t *testing.T) {
 	_, err := Run(Config{
 		Workload: MPEG,
-		Policy:   ConstantPolicy(206.4, false),
+		Policy:   Policy{Constant: true, MHz: 206.4},
 		Duration: time.Second,
 		Watchdog: &WatchdogConfig{},
 	})

@@ -33,6 +33,7 @@ import (
 	"clocksched"
 	"clocksched/internal/fabric"
 	"clocksched/internal/fleet"
+	"clocksched/internal/paper"
 	"clocksched/internal/service"
 )
 
@@ -68,7 +69,7 @@ func fabricLeg(n int, serial *clocksched.SweepResult, serialTime time.Duration) 
 	}
 
 	start := time.Now()
-	res, err := co.Run(context.Background(), clocksched.NewSweepSpec(table2Config(0)))
+	res, err := co.Run(context.Background(), clocksched.NewSweepSpec(paper.Table2Config(1)))
 	legTime := time.Since(start)
 	if err != nil {
 		return run{}, err
@@ -203,29 +204,6 @@ type report struct {
 
 const singleCPUNote = "single-CPU host: multi-worker legs measure scheduling overhead, not parallel speedup"
 
-func table2Config(workers int) clocksched.SweepConfig {
-	best := clocksched.PASTPegPeg()
-	bestVS := clocksched.PASTPegPeg()
-	bestVS.VoltageScale = true
-	seeds := make([]uint64, 10)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	return clocksched.SweepConfig{
-		Workloads: []clocksched.Workload{clocksched.MPEG},
-		Policies: []clocksched.Policy{
-			clocksched.ConstantPolicy(206.4, false),
-			clocksched.ConstantPolicy(132.7, false),
-			clocksched.ConstantPolicy(132.7, true),
-			best,
-			bestVS,
-		},
-		Seeds:    seeds,
-		Workers:  workers,
-		FailFast: true,
-	}
-}
-
 // ladder is the deduplicated, ascending worker-count schedule.
 func ladder(extra int) []int {
 	counts := map[int]bool{1: true, 2: true, 4: true, runtime.NumCPU(): true}
@@ -245,11 +223,13 @@ func ladder(extra int) []int {
 // figure does not carry first-touch costs (heap growth, page faults) that
 // would make every later leg look spuriously faster than the baseline.
 func timeSerial() (*clocksched.SweepResult, time.Duration, error) {
-	if _, err := clocksched.Sweep(context.Background(), table2Config(1)); err != nil {
+	cfg := paper.Table2Config(1)
+	cfg.Workers, cfg.FailFast = 1, true
+	if _, err := clocksched.Sweep(context.Background(), cfg); err != nil {
 		return nil, 0, err
 	}
 	start := time.Now()
-	res, err := clocksched.Sweep(context.Background(), table2Config(1))
+	res, err := clocksched.Sweep(context.Background(), cfg)
 	return res, time.Since(start), err
 }
 
@@ -353,7 +333,8 @@ func main() {
 	}
 	ok := true
 	for i, w := range counts {
-		cfg := table2Config(w)
+		cfg := paper.Table2Config(1)
+		cfg.Workers, cfg.FailFast = w, true
 		cfg.CellTimeout = *cellTimeout
 		cfg.Retries = *retries
 		// The durability knobs attach to the final (widest) leg only, so a

@@ -2,10 +2,16 @@
 // evaluation — plus the extension experiments — from the simulation,
 // printing each summary to stdout and writing the raw artifacts under -out.
 //
-// Grid-backed experiments fan their cells across -workers goroutines and
-// reuse cached cells from <out>/cache between invocations; the results are
-// bit-identical whatever the worker count or cache state. Interrupting the
-// run (Ctrl-C) stops the simulations at the next quantum boundary.
+// Every grid-backed experiment sweeps its cells through one executor. By
+// default that is the local worker pool: -workers goroutines, cells cached
+// under <out>/cache and committed to <out>/sweep.wal between invocations,
+// so an interrupted run resumes with -resume. -remote hands every grid to
+// one sweepd daemon instead, and -peers coordinates every grid across a
+// fabric of daemons (shards, leases, work-stealing; the lease ledger under
+// <out>/fabric resumes an interrupted grid on the next run). The results
+// are byte-identical whatever the executor, worker count, or cache state.
+// Interrupting the run (Ctrl-C) stops the simulations at the next quantum
+// boundary.
 //
 // Usage:
 //
@@ -14,15 +20,17 @@
 //	experiments -list
 //	experiments -out /tmp/repro -seed 3 -workers 4
 //	experiments -nocache   # recompute every cell
-//	experiments -peers http://node1:8900,http://node2:8900   # fleet-coordinated table2
+//	experiments -only table2 -remote http://localhost:8900
+//	experiments -peers http://node1:8900,http://node2:8900
 //	experiments -only fleet                                  # 10k-device population sweep
-//	experiments -only fleet -peers http://node1:8900,http://node2:8900
 //
 // The fleet experiment simulates a seeded population of device sessions
 // (CLOCKSCHED_FLEET_DEVICES overrides the 10k default) and reduces them to
-// per-policy energy percentiles, miss rates, and the infeasible bucket;
-// with -peers the identical population is compiled once and fanned out
-// across the daemons, byte-identical to the local run.
+// per-policy energy percentiles, miss rates, and the infeasible bucket.
+//
+// Cache entries written before every experiment ran on the public sweep
+// path (and the fleet experiment's former fleet-only cache directory) are
+// keyed differently and simply miss; delete them at leisure.
 package main
 
 import (
@@ -37,9 +45,11 @@ import (
 	"syscall"
 	"time"
 
-	"clocksched/internal/expt"
+	"clocksched"
+	"clocksched/internal/fabric"
+	"clocksched/internal/paper"
+	"clocksched/internal/service"
 	"clocksched/internal/sweep"
-	"clocksched/internal/telemetry"
 )
 
 func main() {
@@ -61,21 +71,21 @@ func main() {
 		progress = flag.Bool("progress", false,
 			"print per-cell completion counts for grid experiments; resumed runs start at the replayed count")
 		remote = flag.String("remote", "",
-			"submit grid work to a sweepd daemon at this base URL (e.g. http://localhost:8900) instead of simulating locally")
+			"submit every grid to a sweepd daemon at this base URL (e.g. http://localhost:8900) instead of simulating locally")
 		peers = flag.String("peers", "",
-			"comma-separated sweepd base URLs: coordinate the grid across the fleet via the fabric (shards, leases, work-stealing)")
+			"comma-separated sweepd base URLs: coordinate every grid across the fleet via the fabric (shards, leases, work-stealing)")
 		peerToken = flag.String("peer-token", "", "bearer token sent to every -peers daemon")
 	)
 	flag.Parse()
 
 	if *list {
-		for _, e := range expt.Registry() {
+		for _, e := range paper.Registry() {
 			fmt.Printf("%-12s %s\n", e.Name, e.Paper)
 		}
 		return
 	}
 
-	// run holds the defers (telemetry drain, journal close) so they fire on
+	// run holds the defers (telemetry drain, signal handling) so they fire on
 	// every exit path, including an interrupt; os.Exit would skip them.
 	os.Exit(run(outDir, only, seed, workers, nocache, resume, cellTimeout, retries, telAddr, progress, remote, peers, peerToken))
 }
@@ -87,21 +97,20 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 		fmt.Fprintln(os.Stderr, "experiments: -remote and -peers are mutually exclusive (one daemon vs a coordinated fleet)")
 		return 2
 	}
-	if *remote != "" {
-		return runRemote(*remote, *outDir, *only, *seed, *progress)
-	}
-	if *peers != "" {
-		return runFleet(*peers, *peerToken, *outDir, *only, *seed, *progress)
+	local := *remote == "" && *peers == ""
+	if local && *resume && *nocache {
+		fmt.Fprintln(os.Stderr, "experiments: -resume needs the cell cache (drop -nocache)")
+		return 2
 	}
 
-	experiments := expt.Registry()
+	experiments := paper.Registry()
 	if *only != "" {
-		e, ok := expt.Find(strings.ToLower(*only))
+		e, ok := paper.Find(strings.ToLower(*only))
 		if !ok {
 			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (try -list)\n", *only)
 			return 2
 		}
-		experiments = []expt.Experiment{e}
+		experiments = []paper.Experiment{e}
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -112,21 +121,16 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	env := expt.Env{
-		Ctx:         ctx,
-		Seed:        *seed,
-		Workers:     *workers,
-		CellTimeout: *cellTimeout,
-		Retries:     *retries,
-	}
+	var onProgress func(done, total int)
 	if *progress {
-		env.Progress = func(done, total int) {
+		onProgress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "experiments: cell %d/%d\n", done, total)
 		}
 	}
+	var tel *clocksched.Telemetry
 	if *telAddr != "" {
-		reg := telemetry.New()
-		srv, err := telemetry.Serve(*telAddr, reg)
+		tel = clocksched.NewTelemetry()
+		addr, err := tel.Serve(*telAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: telemetry:", err)
 			return 1
@@ -134,38 +138,61 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 		defer func() {
 			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			srv.Shutdown(sctx)
+			tel.Shutdown(sctx)
 		}()
-		fmt.Fprintf(os.Stderr, "experiments: telemetry on http://%s/metrics\n", srv.Addr())
-		env.Telemetry = reg
+		fmt.Fprintf(os.Stderr, "experiments: telemetry on http://%s/metrics\n", addr)
 	}
-	if !*nocache {
-		cache, err := expt.NewCellCache(0, filepath.Join(*outDir, "cache"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: cache:", err)
-			return 1
+
+	env := paper.Env{Ctx: ctx, Seed: *seed}
+	switch {
+	case *remote != "":
+		env.Exec = paper.Remote(&service.Client{Base: *remote}, onProgress)
+	case *peers != "":
+		var list []string
+		for _, p := range strings.Split(*peers, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				list = append(list, p)
+			}
 		}
-		env.Cache = cache
-		// Each completed cell is committed to the journal; relaunching with
-		// -resume replays them from the cache instead of re-simulating.
-		jr, err := sweep.OpenCellJournal(filepath.Join(*outDir, "sweep.wal"), *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: journal:", err)
-			return 1
+		env.Exec = paper.Fabric(fabric.Config{
+			Peers:     list,
+			Token:     *peerToken,
+			Dir:       filepath.Join(*outDir, "fabric"),
+			Seed:      *seed,
+			Progress:  onProgress,
+			Telemetry: tel.Registry(),
+		})
+	default:
+		res := clocksched.SweepConfig{
+			Workers:     *workers,
+			CellTimeout: *cellTimeout,
+			Retries:     *retries,
+			Progress:    onProgress,
+			Telemetry:   tel,
 		}
-		defer jr.Close()
-		jr.Instrument(env.Telemetry)
-		if *resume {
-			fmt.Fprintf(os.Stderr, "experiments: resume: %d cell(s) recovered from journal\n", jr.Recovered())
+		if !*nocache {
+			cache, err := clocksched.NewSweepCache(0, filepath.Join(*outDir, "cache"))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "experiments: cache:", err)
+				return 1
+			}
+			// Each completed cell is committed to the journal; relaunching
+			// with -resume replays them from the cache instead of
+			// re-simulating.
+			res.Cache = cache
+			res.Journal = filepath.Join(*outDir, "sweep.wal")
+			res.Resume = *resume
+			if *resume {
+				jr, err := sweep.OpenCellJournal(res.Journal, true)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "experiments: journal:", err)
+					return 1
+				}
+				fmt.Fprintf(os.Stderr, "experiments: resume: %d cell(s) recovered from journal\n", jr.Recovered())
+				jr.Close()
+			}
 		}
-		env.Journal = jr
-		// Experiments that own their durable state (the fleet experiment's
-		// result cache + fleet.wal) anchor it in the same output directory.
-		env.DataDir = *outDir
-		env.Resume = *resume
-	} else if *resume {
-		fmt.Fprintln(os.Stderr, "experiments: -resume needs the cell cache (drop -nocache)")
-		return 2
+		env.Exec = paper.Local(res)
 	}
 
 	var written []string
@@ -174,8 +201,13 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 		summary, artifacts, err := e.Run(env)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Name, err)
-			if ctx.Err() != nil && !*nocache {
-				fmt.Fprintln(os.Stderr, "experiments: interrupted; completed cells are journaled — run again with -resume")
+			if ctx.Err() != nil {
+				switch {
+				case *peers != "":
+					fmt.Fprintln(os.Stderr, "experiments: interrupted; committed shards are ledgered — run again to resume")
+				case local && !*nocache:
+					fmt.Fprintln(os.Stderr, "experiments: interrupted; completed cells are journaled — run again with -resume")
+				}
 			}
 			return 1
 		}
@@ -192,7 +224,7 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 
 	// Leave a browsable index behind when running the full suite.
 	if *only == "" && len(written) > 0 {
-		index := expt.IndexHTML(written)
+		index := paper.IndexHTML(written)
 		if err := os.WriteFile(filepath.Join(*outDir, "index.html"), []byte(index), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 1

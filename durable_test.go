@@ -25,7 +25,7 @@ func durableGrid() SweepConfig {
 	}
 	return SweepConfig{
 		Workloads: []Workload{RectWave},
-		Policies:  []Policy{PASTPegPeg()},
+		Policies:  []Policy{Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}},
 		Seeds:     seeds,
 		Duration:  2 * time.Second,
 	}

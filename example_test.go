@@ -14,7 +14,7 @@ import (
 func ExampleRun() {
 	res, err := clocksched.Run(clocksched.Config{
 		Workload: clocksched.MPEG,
-		Policy:   clocksched.PASTPegPeg(),
+		Policy:   clocksched.Policy{Up: clocksched.Peg, Down: clocksched.Peg, LoPercent: 93, HiPercent: 98},
 		Seed:     1,
 		Duration: 10 * time.Second,
 	})
@@ -31,10 +31,10 @@ func ExampleRun() {
 }
 
 // Compare a constant baseline against an interval policy.
-func ExampleConstantPolicy() {
+func ExamplePolicy_constant() {
 	baseline, err := clocksched.Run(clocksched.Config{
 		Workload: clocksched.MPEG,
-		Policy:   clocksched.ConstantPolicy(206.4, false),
+		Policy:   clocksched.Policy{Constant: true, MHz: 206.4},
 		Seed:     1,
 		Duration: 10 * time.Second,
 	})
@@ -43,7 +43,7 @@ func ExampleConstantPolicy() {
 	}
 	sweet, err := clocksched.Run(clocksched.Config{
 		Workload: clocksched.MPEG,
-		Policy:   clocksched.ConstantPolicy(132.7, false),
+		Policy:   clocksched.Policy{Constant: true, MHz: 132.7},
 		Seed:     1,
 		Duration: 10 * time.Second,
 	})
@@ -59,9 +59,9 @@ func ExampleConstantPolicy() {
 
 // Policies are described in the paper's own naming style.
 func ExamplePolicy_Name() {
-	fmt.Println(clocksched.PASTPegPeg().Name())
-	fmt.Println(clocksched.PeringAvgN(9, clocksched.One, clocksched.One).Name())
-	fmt.Println(clocksched.ConstantPolicy(132.7, true).Name())
+	fmt.Println(clocksched.Policy{Up: clocksched.Peg, Down: clocksched.Peg, LoPercent: 93, HiPercent: 98}.Name())
+	fmt.Println(clocksched.Policy{AvgN: 9, Up: clocksched.One, Down: clocksched.One, LoPercent: 50, HiPercent: 70}.Name())
+	fmt.Println(clocksched.Policy{Constant: true, MHz: 132.7, LowVoltage: true}.Name())
 	// Output:
 	// PAST, peg-peg, 93%-98%
 	// AVG_9, one-one, 50%-70%

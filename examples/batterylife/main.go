@@ -11,12 +11,12 @@ import (
 
 	"clocksched/internal/battery"
 	"clocksched/internal/cpu"
-	"clocksched/internal/expt"
+	"clocksched/internal/paper"
 	"clocksched/internal/sim"
 )
 
 func main() {
-	res, err := expt.BatteryLifetime()
+	res, err := paper.BatteryLifetime()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,15 +15,15 @@ import (
 	"fmt"
 	"log"
 
-	"clocksched/internal/expt"
+	"clocksched/internal/paper"
 )
 
 func main() {
-	rows, err := expt.DeadlineComparison(1)
+	rows, err := paper.DeadlineComparison(1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(expt.RenderDeadlineComparison(rows))
+	fmt.Print(paper.RenderDeadlineComparison(rows))
 
 	base := rows[0].EnergyJ
 	fmt.Println()

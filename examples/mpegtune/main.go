@@ -22,7 +22,7 @@ func main() {
 	for _, mhz := range clocksched.ClockStepsMHz() {
 		res, err := clocksched.Run(clocksched.Config{
 			Workload: clocksched.MPEG,
-			Policy:   clocksched.ConstantPolicy(mhz, false),
+			Policy:   clocksched.Policy{Constant: true, MHz: mhz},
 			Duration: 30 * time.Second,
 			Seed:     1,
 		})

@@ -27,13 +27,13 @@ func main() {
 	for _, n := range []int{0, 1, 3, 5, 7, 9, 10} {
 		for _, up := range setters {
 			for _, down := range setters {
-				policies = append(policies, clocksched.PeringAvgN(n, up, down))
+				policies = append(policies, clocksched.Policy{AvgN: n, Up: up, Down: down, LoPercent: 50, HiPercent: 70})
 			}
 		}
 	}
 	policies = append(policies,
-		clocksched.ConstantPolicy(206.4, false),
-		clocksched.ConstantPolicy(132.7, false))
+		clocksched.Policy{Constant: true, MHz: 206.4},
+		clocksched.Policy{Constant: true, MHz: 132.7})
 
 	sweep, err := clocksched.Sweep(context.Background(), clocksched.SweepConfig{
 		Workloads: []clocksched.Workload{clocksched.MPEG},

@@ -28,8 +28,12 @@ func main() {
 	}
 
 	fmt.Println("MPEG, 60 seconds, simulated Itsy:")
-	baseline := measure(clocksched.ConstantPolicy(206.4, false))
-	best := measure(clocksched.PASTPegPeg())
+	baseline := measure(clocksched.Policy{Constant: true, MHz: 206.4})
+	pastPegPeg, err := clocksched.NewPolicy("past-peg-peg", nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	best := measure(pastPegPeg)
 
 	saving := (baseline.EnergyJoules - best.EnergyJoules) / baseline.EnergyJoules * 100
 	fmt.Printf("\nThe best heuristic saves %.1f%% energy without missing a deadline —\n", saving)

@@ -1,12 +1,14 @@
-package expt
+package expt_test
 
 import (
 	"strings"
 	"testing"
+
+	"clocksched/internal/paper"
 )
 
 func TestIdealDVSComparison(t *testing.T) {
-	rows, err := IdealDVSComparison(1)
+	rows, err := paper.IdealDVSComparison(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func TestIdealDVSComparison(t *testing.T) {
 		t.Errorf("deadline-vs-heuristic gap did not widen on DVS: %v vs %v",
 			heuristicGapDVS, heuristicGapItsy)
 	}
-	text := RenderIdealDVS(rows)
+	text := paper.RenderIdealDVS(rows)
 	if !strings.Contains(text, "ideal DVS") {
 		t.Error("render missing header")
 	}

@@ -1,4 +1,4 @@
-package expt
+package expt_test
 
 import (
 	"math"
@@ -8,16 +8,19 @@ import (
 	"clocksched/internal/analysis"
 	"clocksched/internal/cpu"
 	"clocksched/internal/sim"
+
+	"clocksched/internal/expt"
+	"clocksched/internal/paper"
 )
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(RunSpec{Workload: "nope"}); err == nil {
+	if _, err := expt.Run(expt.RunSpec{Workload: "nope"}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
 func TestRunProducesEnergy(t *testing.T) {
-	out, err := Run(RunSpec{Workload: "rect", Duration: 5 * sim.Second, InitialStep: cpu.MaxStep})
+	out, err := expt.Run(expt.RunSpec{Workload: "rect", Duration: 5 * sim.Second, InitialStep: cpu.MaxStep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func TestRunProducesEnergy(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	rows := Table1()
+	rows := paper.Table1()
 	if len(rows) != 20 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -69,14 +72,14 @@ func TestTable1MatchesPaper(t *testing.T) {
 	if len(downs) != 1 || downs[0] != 200 {
 		t.Errorf("scale-downs at %v", downs)
 	}
-	text := RenderTable1(rows)
+	text := paper.RenderTable1(rows)
 	if !strings.Contains(text, "7175") || !strings.Contains(text, "Scale up") {
 		t.Error("render missing content")
 	}
 }
 
 func TestTable3MatchesPaper(t *testing.T) {
-	rows := Table3()
+	rows := paper.Table3()
 	wantMem := []int64{11, 11, 11, 11, 13, 14, 14, 15, 18, 19, 20}
 	wantCache := []int64{39, 39, 39, 39, 41, 42, 49, 50, 60, 61, 69}
 	if len(rows) != cpu.NumSteps {
@@ -90,14 +93,14 @@ func TestTable3MatchesPaper(t *testing.T) {
 			t.Errorf("step %v cache cycles = %d, want %d", r.Step, r.CacheCycles, wantCache[i])
 		}
 	}
-	text := RenderTable3(rows)
+	text := paper.RenderTable3(rows)
 	if !strings.Contains(text, "206.4") || !strings.Contains(text, "69") {
 		t.Error("render missing content")
 	}
 }
 
 func TestFigure5Shapes(t *testing.T) {
-	res := Figure5()
+	res := paper.Figure5()
 	if len(res.GoingIdle) != 5 || len(res.SpeedingUp) != 5 {
 		t.Fatalf("row counts: %d, %d", len(res.GoingIdle), len(res.SpeedingUp))
 	}
@@ -129,7 +132,7 @@ func TestFigure5Shapes(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	s, err := Figure6(9)
+	s, err := paper.Figure6(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +147,13 @@ func TestFigure6Shape(t *testing.T) {
 			t.Fatalf("transform hit zero at ω=%v: attenuates, never eliminates", s.Points[i].X)
 		}
 	}
-	if _, err := Figure6(0); err == nil {
+	if _, err := paper.Figure6(0); err == nil {
 		t.Error("AVG_0 accepted")
 	}
 }
 
 func TestFigure7Oscillates(t *testing.T) {
-	s, osc, err := Figure7()
+	s, osc, err := paper.Figure7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,19 +169,19 @@ func TestFigure7Oscillates(t *testing.T) {
 }
 
 func TestFigure3And4Shapes(t *testing.T) {
-	raw, err := Figure3("mpeg", 1)
+	raw, err := paper.Figure3("mpeg", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(raw.Points) != 4000 { // 40s of 10ms quanta
 		t.Fatalf("figure 3 has %d points", len(raw.Points))
 	}
-	smooth, err := Figure4("mpeg", 1)
+	smooth, err := paper.Figure4("mpeg", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The moving average shrinks the swing.
-	swing := func(s Series) float64 {
+	swing := func(s paper.Series) float64 {
 		lo, hi := s.Points[100].Y, s.Points[100].Y
 		for _, p := range s.Points[100:] {
 			lo = math.Min(lo, p.Y)
@@ -195,7 +198,7 @@ func TestFigure3And4Shapes(t *testing.T) {
 }
 
 func TestFigure8SlamsBetweenExtremes(t *testing.T) {
-	s, out, err := Figure8(1)
+	s, out, err := paper.Figure8(paper.DefaultEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,17 +215,17 @@ func TestFigure8SlamsBetweenExtremes(t *testing.T) {
 		t.Error("best policy did not visit both 59 and 206.4 MHz")
 	}
 	// "changes clock settings frequently"
-	if out.Kernel.SpeedChanges() < 100 {
-		t.Errorf("only %d clock changes over 30s", out.Kernel.SpeedChanges())
+	if out.ClockChanges < 100 {
+		t.Errorf("only %d clock changes over 30s", out.ClockChanges)
 	}
 	// ...and never misses a deadline.
-	if got := out.Workload.Metrics().MissCount(table2Slack); got != 0 {
-		t.Errorf("best policy missed %d deadlines", got)
+	if out.Misses != 0 {
+		t.Errorf("best policy missed %d deadlines", out.Misses)
 	}
 }
 
 func TestFigure9Plateau(t *testing.T) {
-	s, err := Figure9(1)
+	s, err := paper.Figure9(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestFigure9Plateau(t *testing.T) {
 }
 
 func TestBatteryLifetimeRatio(t *testing.T) {
-	res, err := BatteryLifetime()
+	res, err := paper.BatteryLifetime()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +277,7 @@ func TestBatteryLifetimeRatio(t *testing.T) {
 }
 
 func TestTransitionCost(t *testing.T) {
-	res, err := TransitionCost()
+	res, err := paper.TransitionCost()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +300,7 @@ func TestTransitionCost(t *testing.T) {
 }
 
 func TestSchedulerOverhead(t *testing.T) {
-	res, err := SchedulerOverhead()
+	res, err := paper.SchedulerOverhead()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,13 +314,13 @@ func TestSchedulerOverhead(t *testing.T) {
 }
 
 func TestSeriesRender(t *testing.T) {
-	s := Series{Name: "test", XLabel: "x", YLabel: "y",
-		Points: []Point{{1, 2}, {3, 4}}}
+	s := paper.Series{Name: "test", XLabel: "x", YLabel: "y",
+		Points: []paper.Point{{X: 1, Y: 2}, {X: 3, Y: 4}}}
 	text := s.Render()
 	if !strings.Contains(text, "# test") || !strings.Contains(text, "3\t4") {
 		t.Errorf("render = %q", text)
 	}
-	if (Series{}).Sparkline(10) != "" {
+	if (paper.Series{}).Sparkline(10) != "" {
 		t.Error("empty sparkline should be empty")
 	}
 }
@@ -326,7 +329,7 @@ func TestSeriesRender(t *testing.T) {
 // MPEG, there is even significant variance in CPU utilization (60-80%)
 // when considering a 1 second moving average".
 func TestMPEGVarianceAtOneSecond(t *testing.T) {
-	raw, err := Figure3("mpeg", 1)
+	raw, err := paper.Figure3("mpeg", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,16 @@
-package expt
+package expt_test
 
 import (
 	"strings"
 	"testing"
 
 	"clocksched/internal/cpu"
+
+	"clocksched/internal/paper"
 )
 
 func TestDeadlineComparison(t *testing.T) {
-	rows, err := DeadlineComparison(1)
+	rows, err := paper.DeadlineComparison(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestDeadlineComparison(t *testing.T) {
 	if rows[best].ModalMHz != 206.4 && rows[best].ModalMHz != 59.0 {
 		t.Errorf("peg-peg modal clock = %.1f MHz, want an extreme", rows[best].ModalMHz)
 	}
-	text := RenderDeadlineComparison(rows)
+	text := paper.RenderDeadlineComparison(rows)
 	if !strings.Contains(text, "DEADLINE") {
 		t.Error("render missing rows")
 	}
@@ -61,7 +63,7 @@ func TestDeadlineComparison(t *testing.T) {
 }
 
 func TestMartinOptimumInterior(t *testing.T) {
-	res, err := MartinOptimum(2.0)
+	res, err := paper.MartinOptimum(2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestMartinOptimumInterior(t *testing.T) {
 func TestMartinOptimumLimits(t *testing.T) {
 	// A nearly ideal battery (k→1) favours the fastest clock: capacity
 	// barely shrinks, so more cycles per hour wins.
-	ideal, err := MartinOptimum(1.05)
+	ideal, err := paper.MartinOptimum(1.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestMartinOptimumLimits(t *testing.T) {
 		t.Errorf("k=1.05 optimum at %v, want the fastest step", ideal.Best)
 	}
 	// A brutal rate-capacity effect favours the slowest clock.
-	steep, err := MartinOptimum(4.0)
+	steep, err := paper.MartinOptimum(4.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestMartinOptimumLimits(t *testing.T) {
 }
 
 func TestMartinOptimumValidation(t *testing.T) {
-	if _, err := MartinOptimum(0.5); err == nil {
+	if _, err := paper.MartinOptimum(0.5); err == nil {
 		t.Error("exponent below 1 accepted")
 	}
 }

@@ -15,6 +15,10 @@ import (
 // energy is positive and equals average power × time, utilization stays in
 // range, residency accounts for the whole run, and the run is
 // deterministic.
+// table2Slack is the paper's perceptual slack for MPEG deadlines: half a
+// frame, the public API's default DeadlineSlack.
+const table2Slack = 33 * sim.Millisecond
+
 func TestWorkloadPolicyMatrix(t *testing.T) {
 	policies := map[string]func() RunSpec{
 		"constant-max": func() RunSpec {

@@ -1,14 +1,16 @@
-package expt
+package expt_test
 
 import (
 	"strings"
 	"testing"
 
 	"clocksched/internal/cpu"
+
+	"clocksched/internal/paper"
 )
 
 func TestPeringTradeoffShape(t *testing.T) {
-	rows, err := PeringTradeoff(1)
+	rows, err := paper.PeringTradeoff(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +42,14 @@ func TestPeringTradeoffShape(t *testing.T) {
 		t.Errorf("slow end energy %.2f not below fast end %.2f",
 			rows[0].EnergyJ, rows[len(rows)-1].EnergyJ)
 	}
-	text := RenderPeringTradeoff(rows)
+	text := paper.RenderPeringTradeoff(rows)
 	if !strings.Contains(text, "frames/s") {
 		t.Error("render missing header")
 	}
 }
 
 func TestPlaybackLifetime(t *testing.T) {
-	rows, err := PlaybackLifetime(1)
+	rows, err := paper.PlaybackLifetime(paper.DefaultEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestPlaybackLifetime(t *testing.T) {
 			t.Errorf("%s power %.3f W implausible", r.Policy, r.AvgPowerW)
 		}
 	}
-	if !strings.Contains(RenderPlaybackLifetime(rows), "hours") {
+	if !strings.Contains(paper.RenderPlaybackLifetime(rows), "hours") {
 		t.Error("render missing header")
 	}
 }

@@ -1,12 +1,19 @@
-package expt
+// The paper experiments live in internal/paper, above the root package
+// that wraps this runner, so their tests run from this external test
+// package: it may import internal/paper without an import cycle, and the
+// suite keeps the package path its results have always been reported
+// under.
+package expt_test
 
 import (
 	"strings"
 	"testing"
+
+	"clocksched/internal/paper"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	reg := Registry()
+	reg := paper.Registry()
 	if len(reg) != 24 {
 		t.Fatalf("%d experiments registered", len(reg))
 	}
@@ -32,10 +39,10 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFind(t *testing.T) {
-	if _, ok := Find("table1"); !ok {
+	if _, ok := paper.Find("table1"); !ok {
 		t.Error("table1 not found")
 	}
-	if _, ok := Find("nope"); ok {
+	if _, ok := paper.Find("nope"); ok {
 		t.Error("bogus name found")
 	}
 }
@@ -50,10 +57,10 @@ func TestRegistryRunsEverything(t *testing.T) {
 	// The fleet experiment defaults to a 10k-device population; a few
 	// hundred devices exercise the same code end to end in test time.
 	t.Setenv("CLOCKSCHED_FLEET_DEVICES", "120")
-	for _, e := range Registry() {
+	for _, e := range paper.Registry() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			summary, artifacts, err := e.Run(DefaultEnv(1))
+			summary, artifacts, err := e.Run(paper.DefaultEnv(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +80,7 @@ func TestRegistryRunsEverything(t *testing.T) {
 }
 
 func TestIndexHTML(t *testing.T) {
-	html := IndexHTML([]string{"table2.txt", "figure9.svg"})
+	html := paper.IndexHTML([]string{"table2.txt", "figure9.svg"})
 	for _, want := range []string{
 		"<!DOCTYPE html>", `href="table2.txt"`, `img src="figure9.svg"`,
 	} {
@@ -88,7 +95,11 @@ func TestIndexHTML(t *testing.T) {
 }
 
 func TestFigure9CompareArtifact(t *testing.T) {
-	_, arts, err := runFigure9(DefaultEnv(1))
+	e, ok := paper.Find("figure9")
+	if !ok {
+		t.Fatal("figure9 not registered")
+	}
+	_, arts, err := e.Run(paper.DefaultEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}

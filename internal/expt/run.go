@@ -1,8 +1,9 @@
-// Package expt defines one reproduction harness per table and figure of the
-// paper's evaluation. Each experiment returns a typed result with a text
-// renderer that prints the same rows or series the paper reports;
-// cmd/experiments regenerates everything, and the module-level benchmarks
-// (bench_test.go) time each one.
+// Package expt is the single-cell runner: one simulated measurement run —
+// a workload on the Itsy under a clock scaling policy, instrumented by the
+// DAQ — from a RunSpec to a RunOutcome. The public clocksched.Run wraps it,
+// and the paper's experiments (internal/paper) reach it through
+// clocksched.Sweep; only the runs no public Config can express call it
+// directly.
 package expt
 
 import (

@@ -1,13 +1,15 @@
-package expt
+package expt_test
 
 import (
 	"math"
 	"strings"
 	"testing"
+
+	"clocksched/internal/paper"
 )
 
 func TestThresholdSensitivity(t *testing.T) {
-	cells, err := ThresholdSensitivity(1)
+	cells, err := paper.ThresholdSensitivity(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +21,7 @@ func TestThresholdSensitivity(t *testing.T) {
 	// workload, the miss-free cell with the least energy; they must
 	// differ, or at least aggressive bounds must miss deadlines somewhere
 	// while saving energy elsewhere.
-	bestFor := map[string]SensitivityCell{}
+	bestFor := map[string]paper.SensitivityCell{}
 	sawMissesSomewhere := false
 	for _, c := range cells {
 		if c.Misses > 0 {
@@ -37,13 +39,13 @@ func TestThresholdSensitivity(t *testing.T) {
 	for w, c := range bestFor {
 		t.Logf("best miss-free bounds for %-8s: %d%%-%d%% (%.2f J)", w, c.LoPct, c.HiPct, c.EnergyJ)
 	}
-	if !strings.Contains(RenderSensitivity(cells), "bounds") {
+	if !strings.Contains(paper.RenderSensitivity(cells), "bounds") {
 		t.Error("render missing header")
 	}
 }
 
 func TestPlayUntilExhaustion(t *testing.T) {
-	rows, err := PlayUntilExhaustion(1)
+	rows, err := paper.PlayUntilExhaustion(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +65,13 @@ func TestPlayUntilExhaustion(t *testing.T) {
 	if rows[1].AvgPowerW < rows[0].AvgPowerW && rows[1].Played < rows[0].Played {
 		t.Errorf("lower average power played less: %+v", rows)
 	}
-	if !strings.Contains(RenderExhaustion(rows), "playback") {
+	if !strings.Contains(paper.RenderExhaustion(rows), "playback") {
 		t.Error("render missing header")
 	}
 }
 
 func TestSA2Example(t *testing.T) {
-	p := SA2Example()
+	p := paper.SA2Example()
 	// The paper's arithmetic: 1 s and 500 mJ at 600 MHz; 4 s and 160 mJ
 	// at 150 MHz.
 	if p.FastTime != 1 || p.SlowTime != 4 {

@@ -1,9 +1,11 @@
-package expt
+package expt_test
 
 import (
 	"math"
 	"strings"
 	"testing"
+
+	"clocksched/internal/paper"
 )
 
 // TestTable2Shape verifies the paper's headline result structure: the
@@ -14,7 +16,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Table 2 runs 50 one-minute simulations")
 	}
-	rows, err := Table2()
+	rows, err := paper.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestTable2Shape(t *testing.T) {
 		}
 	}
 
-	text := RenderTable2(rows)
+	text := paper.RenderTable2(rows)
 	if !strings.Contains(text, "206.4") || !strings.Contains(text, "Voltage Scaling") {
 		t.Error("render missing rows")
 	}

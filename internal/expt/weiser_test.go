@@ -1,12 +1,14 @@
-package expt
+package expt_test
 
 import (
 	"strings"
 	"testing"
+
+	"clocksched/internal/paper"
 )
 
 func TestWeiserOnWorkloads(t *testing.T) {
-	rows, err := WeiserOnWorkloads(1)
+	rows, err := paper.WeiserOnWorkloads(paper.DefaultEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +42,8 @@ func TestWeiserOnWorkloads(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(RenderWeiser(rows), "OPT") {
+	if !strings.Contains(paper.RenderWeiser(rows), "OPT") {
 		t.Error("render missing header")
 	}
-	t.Logf("\n%s", RenderWeiser(rows))
+	t.Logf("\n%s", paper.RenderWeiser(rows))
 }

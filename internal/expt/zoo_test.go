@@ -1,7 +1,3 @@
-// The zoo acceptance tests live in an external test package: importing the
-// root clocksched package installs the registry enumeration hook
-// (expt.SetPolicyZoo) exactly as cmd/experiments does, without creating an
-// import cycle in the library itself.
 package expt_test
 
 import (
@@ -12,6 +8,7 @@ import (
 	"clocksched"
 	"clocksched/internal/cpu"
 	"clocksched/internal/expt"
+	"clocksched/internal/paper"
 	"clocksched/internal/policy"
 	"clocksched/internal/sim"
 )
@@ -22,21 +19,21 @@ import (
 // family alike — and the oracle itself misses nothing (ZooComparison fails
 // internally otherwise, via VerifySchedule).
 func TestZooComparisonAcceptance(t *testing.T) {
-	rows, err := expt.ZooComparison(expt.DefaultEnv(1), 0)
+	rows, err := paper.ZooComparison(paper.DefaultEnv(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	names := clocksched.RegisteredPolicies()
 	perGroup := 1 + len(names)
-	if len(rows) != len(expt.FigureWorkloads)*perGroup {
-		t.Fatalf("%d rows, want %d workloads × %d", len(rows), len(expt.FigureWorkloads), perGroup)
+	if len(rows) != len(paper.FigureWorkloads)*perGroup {
+		t.Fatalf("%d rows, want %d workloads × %d", len(rows), len(paper.FigureWorkloads), perGroup)
 	}
-	for wi, w := range expt.FigureWorkloads {
+	for wi, w := range paper.FigureWorkloads {
 		group := rows[wi*perGroup : (wi+1)*perGroup]
 		or := group[0]
-		if or.Workload != w || or.Policy != expt.ZooOracleName {
+		if or.Workload != w || or.Policy != paper.ZooOracleName {
 			t.Fatalf("group %d starts with %s/%s, want %s/%s",
-				wi, or.Workload, or.Policy, w, expt.ZooOracleName)
+				wi, or.Workload, or.Policy, w, paper.ZooOracleName)
 		}
 		if or.Norm != 1 || or.TraceMissPct != 0 {
 			t.Fatalf("%s oracle row: norm %v, miss %v%%", w, or.Norm, or.TraceMissPct)
@@ -58,7 +55,7 @@ func TestZooComparisonAcceptance(t *testing.T) {
 // schedule solves the end-deadline relaxation, so its energy must match —
 // and can never undercut — the oracle of that same relaxed instance.
 func TestZooOptSpeedsNeverBeatsOracle(t *testing.T) {
-	for _, w := range expt.FigureWorkloads {
+	for _, w := range paper.FigureWorkloads {
 		out, err := expt.Run(expt.RunSpec{
 			Workload: w, Seed: 1, Duration: 30 * sim.Second,
 			InitialStep: cpu.MaxStep,
@@ -94,18 +91,18 @@ func TestZooOptSpeedsNeverBeatsOracle(t *testing.T) {
 // table" half of the acceptance criterion: two uncached runs of the same
 // environment must produce identical rows and an identical rendering.
 func TestZooComparisonDeterministic(t *testing.T) {
-	a, err := expt.ZooComparison(expt.DefaultEnv(1), 0)
+	a, err := paper.ZooComparison(paper.DefaultEnv(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := expt.ZooComparison(expt.DefaultEnv(1), 0)
+	b, err := paper.ZooComparison(paper.DefaultEnv(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two zoo runs produced different rows")
 	}
-	ra, rb := expt.RenderZoo(a), expt.RenderZoo(b)
+	ra, rb := paper.RenderZoo(a), paper.RenderZoo(b)
 	if ra != rb {
 		t.Fatal("two zoo runs rendered differently")
 	}

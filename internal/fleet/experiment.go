@@ -1,15 +1,12 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
 	"clocksched"
-	"clocksched/internal/expt"
 )
 
 // DefaultExperimentDevices is the standing experiment's population size.
@@ -19,8 +16,8 @@ const DefaultExperimentDevices = 10_000
 
 // ExperimentDevices resolves the standing experiment's population size:
 // CLOCKSCHED_FLEET_DEVICES when set and positive, DefaultExperimentDevices
-// otherwise. cmd/experiments uses the same resolution for its local and
-// -peers paths, so the two runs sweep the identical population.
+// otherwise. The fleet experiment resolves it the same way under every
+// executor, so local and -peers runs sweep the identical population.
 func ExperimentDevices() int {
 	if v := os.Getenv("CLOCKSCHED_FLEET_DEVICES"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
@@ -34,9 +31,9 @@ func ExperimentDevices() int {
 // registered policy zoo (default parameters) plus a pinned 59 MHz
 // constant — the pairing the feasibility pre-pass exists to catch, since
 // MPEG and the talking editor cannot fit at the bottom step — over the
-// default population mix with staggered arrivals. cmd/experiments builds
-// the identical spec for both local and -peers execution, which is what
-// makes the two summaries byte-comparable.
+// default population mix with staggered arrivals. The fleet experiment
+// sweeps this spec whatever executes it, which is what makes local and
+// -peers summaries byte-comparable.
 func ExperimentSpec(seed uint64, devices int) (Spec, error) {
 	spec := NewSpec(devices, seed)
 	spec.Duration = clocksched.Duration(2 * time.Second)
@@ -54,45 +51,4 @@ func ExperimentSpec(seed uint64, devices int) (Spec, error) {
 	}
 	spec.Policies = append(spec.Policies, low)
 	return spec, nil
-}
-
-func runExperiment(env expt.Env) (string, []expt.Artifact, error) {
-	spec, err := ExperimentSpec(env.Seed, ExperimentDevices())
-	if err != nil {
-		return "", nil, err
-	}
-	ctx := env.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rc := RunConfig{
-		Workers:     env.Workers,
-		CellTimeout: env.CellTimeout,
-		Retries:     env.Retries,
-		RetryBase:   env.RetryBase,
-		Progress:    env.Progress,
-		Telemetry:   env.Telemetry,
-	}
-	// env.Cache/env.Journal carry grid-cell payloads, which this sweep
-	// cannot share; a DataDir instead anchors fleet-owned durable state so
-	// a killed run resumes from its own journal + result cache.
-	if env.DataDir != "" {
-		cache, err := clocksched.NewSweepCache(0, filepath.Join(env.DataDir, "fleet-cache"))
-		if err != nil {
-			return "", nil, fmt.Errorf("fleet: cache: %w", err)
-		}
-		rc.Cache = cache
-		rc.Journal = filepath.Join(env.DataDir, "fleet.wal")
-		rc.Resume = env.Resume
-	}
-	pop, err := Run(ctx, spec, rc)
-	if err != nil {
-		return "", nil, err
-	}
-	text := pop.Render()
-	return text, []expt.Artifact{{Name: "fleet.txt", Content: text}}, nil
-}
-
-func init() {
-	expt.SetFleetExperiment(runExperiment)
 }

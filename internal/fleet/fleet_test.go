@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,7 +16,6 @@ import (
 
 	"clocksched"
 	"clocksched/internal/cpu"
-	"clocksched/internal/service"
 	"clocksched/internal/telemetry"
 )
 
@@ -60,7 +58,7 @@ func testSpec(tb testing.TB) Spec {
 func TestSpecValidateStructuredErrors(t *testing.T) {
 	base := func() Spec {
 		s := NewSpec(10, 1)
-		s.Policies = []clocksched.Policy{clocksched.PASTPegPeg()}
+		s.Policies = []clocksched.Policy{clocksched.Policy{Up: clocksched.Peg, Down: clocksched.Peg, LoPercent: 93, HiPercent: 98}}
 		return s
 	}
 	cases := []struct {
@@ -170,7 +168,7 @@ func TestGenerateDeviceDeterministic(t *testing.T) {
 
 func TestGenerateDeviceMixCoverage(t *testing.T) {
 	s := NewSpec(2000, 11)
-	s.Policies = []clocksched.Policy{clocksched.PASTPegPeg()}
+	s.Policies = []clocksched.Policy{clocksched.Policy{Up: clocksched.Peg, Down: clocksched.Peg, LoPercent: 93, HiPercent: 98}}
 	counts := map[clocksched.Workload]int{}
 	for i := 0; i < s.Devices; i++ {
 		counts[s.GenerateDevice(i).Workload]++
@@ -250,62 +248,9 @@ func TestRunAllInfeasible(t *testing.T) {
 	}
 }
 
-// TestFleetByteIdentity is the acceptance core: the same fixed-seed
-// population reduces to a byte-identical summary whether the cells run
-// serially, across four workers, or across two in-process sweepd peers.
-func TestFleetByteIdentity(t *testing.T) {
-	spec := testSpec(t)
-	ref, err := Run(context.Background(), spec, RunConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Render()
-	if !strings.Contains(want, "Fleet population: 18 devices") {
-		t.Fatalf("unexpected summary:\n%s", want)
-	}
-
-	par, err := Run(context.Background(), spec, RunConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := par.Render(); got != want {
-		t.Errorf("4-worker summary differs from serial:\n--- serial\n%s\n--- parallel\n%s", want, got)
-	}
-
-	if testing.Short() {
-		t.Skip("fabric leg")
-	}
-	p1 := startPeer(t, service.Config{Workers: 2})
-	p2 := startPeer(t, service.Config{Workers: 2})
-	fab, err := Run(context.Background(), spec, RunConfig{
-		Workers:   2,
-		Peers:     []string{p1, p2},
-		FabricDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fab.Render(); got != want {
-		t.Errorf("2-peer summary differs from serial:\n--- serial\n%s\n--- fabric\n%s", want, got)
-	}
-}
-
-func startPeer(t *testing.T, cfg service.Config) string {
-	t.Helper()
-	if cfg.DataDir == "" {
-		cfg.DataDir = t.TempDir()
-	}
-	s, err := service.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(s)
-	t.Cleanup(func() {
-		hs.Close()
-		s.Close()
-	})
-	return hs.URL
-}
+// FixedSpec exposes testSpec to the external test package, whose
+// byte-identity tests run it through the paper package's executors.
+var FixedSpec = testSpec
 
 // TestFleetKillAndResumeChild is the subprocess half of the durability
 // test: it runs the shared fixed-seed fleet with a journal, one line per
@@ -441,46 +386,6 @@ func TestExperimentSpec(t *testing.T) {
 	}
 	if len(plan.Skips) == 0 {
 		t.Error("experiment spec exercises no infeasible pairings")
-	}
-}
-
-// TestExperimentLocalVsPeers is the standing experiment's golden test:
-// the fixed-seed population cmd/experiments sweeps with `-only fleet`
-// must reduce to a byte-identical summary locally and through `-peers`
-// (in-process fabric peers), including the zoo's infeasible pairings.
-func TestExperimentLocalVsPeers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fabric test")
-	}
-	spec, err := ExperimentSpec(1, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := Run(context.Background(), spec, RunConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := local.Render()
-	for _, header := range []string{
-		"Fleet population: 40 devices, seed 1",
-		"Infeasible pairings",
-	} {
-		if !strings.Contains(want, header) {
-			t.Fatalf("summary missing %q:\n%s", header, want)
-		}
-	}
-	p1 := startPeer(t, service.Config{Workers: 2})
-	p2 := startPeer(t, service.Config{Workers: 2})
-	peers, err := Run(context.Background(), spec, RunConfig{
-		Workers:   2,
-		Peers:     []string{p1, p2},
-		FabricDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peers.Render(); got != want {
-		t.Errorf("-peers summary differs from local:\n--- local\n%s\n--- peers\n%s", want, got)
 	}
 }
 

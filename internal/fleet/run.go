@@ -2,18 +2,17 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"clocksched"
-	"clocksched/internal/fabric"
 	"clocksched/internal/telemetry"
 )
 
-// RunConfig carries execution resources — everything that affects how
-// fast a fleet runs but must never affect what it measures. The same
-// plan run serially, with 8 workers, resumed from a journal, or fanned
-// out to peers reduces to a byte-identical population summary.
+// RunConfig carries the in-process execution resources — everything that
+// affects how fast a fleet runs but must never affect what it measures.
+// The same plan run serially, with 8 workers, or resumed from a journal
+// reduces to a byte-identical population summary; the paper package's
+// executors fan a plan's cells out to a daemon or a fabric instead.
 type RunConfig struct {
 	// Workers bounds local sweep parallelism (0: GOMAXPROCS).
 	Workers int
@@ -33,14 +32,6 @@ type RunConfig struct {
 	// Telemetry, when non-nil, receives fleet_* counters and per-cell
 	// instrumentation.
 	Telemetry *telemetry.Registry
-
-	// Peers fans the sweep out over the PR 9 fabric (sweepd instances);
-	// empty runs everything locally. FabricDir is the coordinator's
-	// journal directory and is required when Peers is set; PeerToken
-	// authenticates, matching the daemons' -token.
-	Peers     []string
-	PeerToken string
-	FabricDir string
 }
 
 // Run compiles the spec, executes the surviving cells, and reduces the
@@ -66,40 +57,10 @@ func RunPlan(ctx context.Context, plan *Plan, rc RunConfig) (*Population, error)
 		rc.Telemetry.Counter("fleet_infeasible_total").Add(int64(len(plan.Skips)))
 	}
 
-	var res *clocksched.SweepResult
-	switch {
-	case len(plan.Cells) == 0:
-		// Everything was infeasible: nothing to sweep, but the skip
-		// bucket is still a complete, reportable population result.
-		res = &clocksched.SweepResult{}
-	case len(rc.Peers) > 0:
-		if rc.FabricDir == "" {
-			return nil, fmt.Errorf("fleet: peers configured but no fabric dir")
-		}
-		coord, err := fabric.New(fabric.Config{
-			Peers:        rc.Peers,
-			Token:        rc.PeerToken,
-			Dir:          rc.FabricDir,
-			Cache:        rc.Cache,
-			LocalWorkers: rc.Workers,
-			Seed:         plan.Spec.Seed,
-			Progress:     rc.Progress,
-			Telemetry:    rc.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		spec := clocksched.NewSweepSpec(clocksched.SweepConfig{
-			Cells:       plan.Cells,
-			CellTimeout: rc.CellTimeout,
-			Retries:     rc.Retries,
-			RetryBase:   rc.RetryBase,
-		})
-		res, err = coord.Run(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-	default:
+	// With every pairing infeasible there is nothing to sweep, but the
+	// skip bucket is still a complete, reportable population result.
+	res := &clocksched.SweepResult{}
+	if len(plan.Cells) > 0 {
 		var err error
 		res, err = clocksched.Sweep(ctx, clocksched.SweepConfig{
 			Cells:       plan.Cells,

@@ -1,10 +1,11 @@
-package expt
+package paper
 
 import (
 	"fmt"
 	"strings"
 
 	"clocksched/internal/cpu"
+	"clocksched/internal/expt"
 	"clocksched/internal/policy"
 	"clocksched/internal/power"
 	"clocksched/internal/sim"
@@ -29,31 +30,33 @@ type DVSRow struct {
 // whose voltage tracks frequency, energy per cycle falls quadratically and
 // the slow-and-steady schedules the paper's heuristics cannot find become
 // hugely valuable — quantifying how much the broken policies will matter
-// on the hardware the paper says is coming.
+// on the hardware the paper says is coming. The power-model override has
+// no public Config form, so the runs go to the single-cell runner directly;
+// misses count at the paper's 33 ms perceptual slack.
 func IdealDVSComparison(seed uint64) ([]DVSRow, error) {
 	itsy := power.DefaultModel()
 	dvs := power.IdealDVSModel()
 
 	type cfg struct {
 		name string
-		spec func() RunSpec
+		spec func() expt.RunSpec
 	}
 	configs := []cfg{
-		{"Constant 206.4 MHz", func() RunSpec {
-			return RunSpec{InitialStep: cpu.MaxStep}
+		{"Constant 206.4 MHz", func() expt.RunSpec {
+			return expt.RunSpec{InitialStep: cpu.MaxStep}
 		}},
-		{"Constant 132.7 MHz (clip ideal)", func() RunSpec {
-			return RunSpec{InitialStep: cpu.Step(5)}
+		{"Constant 132.7 MHz (clip ideal)", func() expt.RunSpec {
+			return expt.RunSpec{InitialStep: cpu.Step(5)}
 		}},
-		{"PAST, peg-peg, 93%-98%", func() RunSpec {
-			return RunSpec{
+		{"PAST, peg-peg, 93%-98%", func() expt.RunSpec {
+			return expt.RunSpec{
 				Policy: policy.MustGovernor(policy.NewPAST(), policy.Peg{}, policy.Peg{},
 					policy.BestBounds, false),
 				InitialStep: cpu.MaxStep,
 			}
 		}},
-		{"DEADLINE", func() RunSpec {
-			return RunSpec{Policy: policy.NewDeadlineScheduler(), InitialStep: cpu.MaxStep}
+		{"DEADLINE", func() expt.RunSpec {
+			return expt.RunSpec{Policy: policy.NewDeadlineScheduler(), InitialStep: cpu.MaxStep}
 		}},
 	}
 
@@ -66,7 +69,7 @@ func IdealDVSComparison(seed uint64) ([]DVSRow, error) {
 			spec.Seed = seed
 			spec.Duration = 30 * sim.Second
 			spec.Model = m
-			out, err := Run(spec)
+			out, err := expt.Run(spec)
 			if err != nil {
 				return nil, fmt.Errorf("ideal DVS %q: %w", c.name, err)
 			}
@@ -75,7 +78,7 @@ func IdealDVSComparison(seed uint64) ([]DVSRow, error) {
 			} else {
 				row.DVSJ = out.EnergyJ
 			}
-			row.Misses += out.Workload.Metrics().MissCount(table2Slack)
+			row.Misses += out.Workload.Metrics().MissCount(33 * sim.Millisecond)
 		}
 		rows = append(rows, row)
 	}

@@ -1,12 +1,13 @@
-package expt
+package paper
 
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"clocksched"
 	"clocksched/internal/battery"
 	"clocksched/internal/cpu"
-	"clocksched/internal/policy"
 	"clocksched/internal/power"
 	"clocksched/internal/sim"
 )
@@ -40,64 +41,44 @@ func DeadlineComparison(seed uint64) ([]DeadlineRow, error) {
 	return DeadlineComparisonEnv(DefaultEnv(seed))
 }
 
-// DeadlineComparisonEnv runs the four comparison cells across the
-// environment's worker pool.
+// DeadlineComparisonEnv runs the four comparison cells through the
+// environment's executor.
 func DeadlineComparisonEnv(env Env) ([]DeadlineRow, error) {
-	type config struct {
-		name string
-		spec func() RunSpec
+	configs := []struct {
+		name   string
+		policy clocksched.Policy
+	}{
+		{"Constant 206.4 MHz", clocksched.Policy{Constant: true, MHz: 206.4}},
+		{"PAST, peg-peg, 93%-98% (paper's best)", pastPegPeg(false)},
+		{"DEADLINE (future work)", clocksched.Policy{Deadline: true}},
+		{"DEADLINE + voltage scaling", clocksched.Policy{Deadline: true, VoltageScale: true}},
 	}
-	configs := []config{
-		{"Constant 206.4 MHz", func() RunSpec {
-			return RunSpec{InitialStep: cpu.MaxStep}
-		}},
-		{"PAST, peg-peg, 93%-98% (paper's best)", func() RunSpec {
-			return RunSpec{
-				Policy: policy.MustGovernor(policy.NewPAST(), policy.Peg{}, policy.Peg{},
-					policy.BestBounds, false),
-				InitialStep: cpu.MaxStep,
-			}
-		}},
-		{"DEADLINE (future work)", func() RunSpec {
-			return RunSpec{Policy: policy.NewDeadlineScheduler(), InitialStep: cpu.MaxStep}
-		}},
-		{"DEADLINE + voltage scaling", func() RunSpec {
-			d := policy.NewDeadlineScheduler()
-			d.VoltageScale = true
-			return RunSpec{Policy: d, InitialStep: cpu.MaxStep}
-		}},
+	grid := clocksched.SweepConfig{
+		Workloads: []clocksched.Workload{clocksched.MPEG},
+		Seeds:     []uint64{env.Seed},
+		Duration:  30 * time.Second,
 	}
-	grid := make([]GridCell, len(configs))
-	for i, c := range configs {
-		build := c.spec
-		grid[i] = GridCell{
-			Key: fmt.Sprintf("deadline|%s|seed=%d|dur=%d", c.name, env.Seed, 30*sim.Second),
-			Spec: func() RunSpec {
-				spec := build()
-				spec.Workload = "mpeg"
-				spec.Seed = env.Seed
-				spec.Duration = 30 * sim.Second
-				return spec
-			},
-		}
+	for _, c := range configs {
+		grid.Policies = append(grid.Policies, c.policy)
 	}
-	cells, err := RunGrid(env, grid, false)
+	res, err := env.sweep(grid)
 	if err != nil {
 		return nil, fmt.Errorf("deadline comparison: %w", err)
 	}
 	rows := make([]DeadlineRow, 0, len(configs))
-	for i, c := range cells {
+	for i, c := range res.Cells {
+		r := c.Result
 		row := DeadlineRow{
 			Policy:       configs[i].name,
-			EnergyJ:      c.EnergyJ,
-			Misses:       c.Misses,
-			SpeedChanges: c.SpeedChanges,
+			EnergyJ:      r.EnergyJoules,
+			Misses:       r.Misses,
+			SpeedChanges: r.ClockChanges,
 		}
-		var modal sim.Duration
-		for s, d := range c.Residency {
-			if d > modal {
+		var modal time.Duration
+		for _, mhz := range clocksched.ClockStepsMHz() {
+			if d := r.TimeAtMHz[mhz]; d > modal {
 				modal = d
-				row.ModalMHz = cpu.Step(s).MHz()
+				row.ModalMHz = mhz
 			}
 		}
 		rows = append(rows, row)

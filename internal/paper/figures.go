@@ -1,13 +1,14 @@
-package expt
+package paper
 
 import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 
+	"clocksched"
 	"clocksched/internal/analysis"
 	"clocksched/internal/cpu"
-	"clocksched/internal/policy"
 	"clocksched/internal/sim"
 )
 
@@ -63,35 +64,34 @@ func (s Series) Sparkline(width int) string {
 }
 
 // FigureWorkloads lists the four applications of Figures 3 and 4 by their
-// RunSpec names.
+// workload names.
 var FigureWorkloads = []string{"mpeg", "web", "chess", "editor"}
 
-// figurePanelCell is one Figure 3/4 panel: the named workload at constant
-// 206.4 MHz for 40 s, with the utilization log retained. Figures 3 and 4
-// share the cell — and therefore its cache entry.
-func figurePanelCell(workloadName string, seed uint64) GridCell {
-	return GridCell{
-		Key: fmt.Sprintf("panel|%s|seed=%d|dur=%d", workloadName, seed, 40*sim.Second),
-		Spec: func() RunSpec {
-			return RunSpec{
-				Workload:    workloadName,
-				Seed:        seed,
-				Duration:    40 * sim.Second,
-				InitialStep: cpu.MaxStep,
-			}
-		},
+// figureTitles maps FigureWorkloads to the display names in the panel
+// titles.
+var figureTitles = map[string]string{"mpeg": "MPEG", "web": "Web", "chess": "Chess", "editor": "TalkingEditor"}
+
+// figurePanelConfig is one Figure 3/4 panel cell: the named workload at
+// constant 206.4 MHz for 40 s, with the utilization trace retained.
+// Figures 3 and 4 share the cell — and therefore its cache entry.
+func figurePanelConfig(workloadName string, seed uint64) clocksched.Config {
+	return clocksched.Config{
+		Workload:     clocksched.Workload(workloadName),
+		Seed:         seed,
+		Duration:     40 * time.Second,
+		CaptureTrace: true,
 	}
 }
 
 // figure3Series shapes a panel cell into the Figure 3 series.
-func figure3Series(c Cell) Series {
+func figure3Series(workloadName string, r *clocksched.Result) Series {
 	s := Series{
-		Name:   fmt.Sprintf("Figure 3: %s utilization, 10ms quanta, 206.4MHz", c.WorkloadName),
+		Name:   fmt.Sprintf("Figure 3: %s utilization, 10ms quanta, 206.4MHz", figureTitles[workloadName]),
 		XLabel: "time (microseconds)",
 		YLabel: "utilization",
 	}
-	for _, u := range c.Util {
-		s.Points = append(s.Points, Point{X: float64(u.At), Y: float64(u.PP10K) / 10000})
+	for u := range r.TraceSeq() {
+		s.Points = append(s.Points, Point{X: float64(u.At / time.Microsecond), Y: u.Utilization})
 	}
 	return s
 }
@@ -99,27 +99,29 @@ func figure3Series(c Cell) Series {
 // Figure3 reproduces one panel of Figure 3: per-10 ms-quantum processor
 // utilization over a 30–40 s window of the named workload at 206.4 MHz.
 func Figure3(workloadName string, seed uint64) (Series, error) {
-	cells, err := RunGrid(DefaultEnv(seed), []GridCell{figurePanelCell(workloadName, seed)}, true)
+	res, err := DefaultEnv(seed).sweep(clocksched.SweepConfig{
+		Cells: []clocksched.Config{figurePanelConfig(workloadName, seed)},
+	})
 	if err != nil {
 		return Series{}, err
 	}
-	return figure3Series(cells[0]), nil
+	return figure3Series(workloadName, res.Cells[0].Result), nil
 }
 
-// Figure3Panels reproduces all four Figure 3 panels across the
-// environment's worker pool.
+// Figure3Panels reproduces all four Figure 3 panels through the
+// environment's executor.
 func Figure3Panels(env Env) ([]Series, error) {
-	grid := make([]GridCell, len(FigureWorkloads))
+	grid := make([]clocksched.Config, len(FigureWorkloads))
 	for i, w := range FigureWorkloads {
-		grid[i] = figurePanelCell(w, env.Seed)
+		grid[i] = figurePanelConfig(w, env.Seed)
 	}
-	cells, err := RunGrid(env, grid, true)
+	res, err := env.sweep(clocksched.SweepConfig{Cells: grid})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Series, len(cells))
-	for i, c := range cells {
-		out[i] = figure3Series(c)
+	out := make([]Series, len(res.Cells))
+	for i, c := range res.Cells {
+		out[i] = figure3Series(FigureWorkloads[i], c.Result)
 	}
 	return out, nil
 }
@@ -296,28 +298,27 @@ func Figure7() (Series, analysis.Oscillation, error) {
 // under the best policy the paper found: PAST with peg-peg speed setting
 // and 93%/98% thresholds. The series shows the policy slamming between
 // 59 MHz and 206.4 MHz, "changing clock settings frequently".
-func Figure8(seed uint64) (Series, *RunOutcome, error) {
-	gov := policy.MustGovernor(policy.NewPAST(), policy.Peg{}, policy.Peg{},
-		policy.BestBounds, false)
-	out, err := Run(RunSpec{
-		Workload:    "mpeg",
-		Seed:        seed,
-		Duration:    30 * sim.Second,
-		Policy:      gov,
-		InitialStep: cpu.MaxStep,
-	})
+func Figure8(env Env) (Series, *clocksched.Result, error) {
+	res, err := env.sweep(clocksched.SweepConfig{Cells: []clocksched.Config{{
+		Workload:     clocksched.MPEG,
+		Policy:       pastPegPeg(false),
+		Seed:         env.Seed,
+		Duration:     30 * time.Second,
+		CaptureTrace: true,
+	}}})
 	if err != nil {
 		return Series{}, nil, err
 	}
+	r := res.Cells[0].Result
 	s := Series{
 		Name:   "Figure 8: MPEG clock frequency under PAST, peg-peg, 93%-98%",
 		XLabel: "time (s)",
 		YLabel: "clock (MHz)",
 	}
-	for _, u := range out.Kernel.UtilLog() {
-		s.Points = append(s.Points, Point{X: u.At.Seconds(), Y: u.StepAt.MHz()})
+	for u := range r.TraceSeq() {
+		s.Points = append(s.Points, Point{X: sim.Duration(u.At / time.Microsecond).Seconds(), Y: u.MHz})
 	}
-	return s, out, nil
+	return s, r, nil
 }
 
 // Figure9 reproduces utilization vs clock frequency for MPEG across all
@@ -327,25 +328,18 @@ func Figure9(seed uint64) (Series, error) {
 	return Figure9Env(DefaultEnv(seed))
 }
 
-// Figure9Env runs the eleven constant-speed cells of Figure 9 across the
-// environment's worker pool.
+// Figure9Env runs the eleven constant-speed cells of Figure 9 through the
+// environment's executor.
 func Figure9Env(env Env) (Series, error) {
-	var grid []GridCell
-	for step := cpu.MinStep; step <= cpu.MaxStep; step++ {
-		step := step
-		grid = append(grid, GridCell{
-			Key: fmt.Sprintf("figure9|mpeg|step=%d|seed=%d|dur=%d", step, env.Seed, 20*sim.Second),
-			Spec: func() RunSpec {
-				return RunSpec{
-					Workload:    "mpeg",
-					Seed:        env.Seed,
-					Duration:    20 * sim.Second,
-					InitialStep: step,
-				}
-			},
-		})
+	grid := clocksched.SweepConfig{
+		Workloads: []clocksched.Workload{clocksched.MPEG},
+		Seeds:     []uint64{env.Seed},
+		Duration:  20 * time.Second,
 	}
-	cells, err := RunGrid(env, grid, false)
+	for _, mhz := range clocksched.ClockStepsMHz() {
+		grid.Policies = append(grid.Policies, clocksched.Policy{Constant: true, MHz: mhz})
+	}
+	res, err := env.sweep(grid)
 	if err != nil {
 		return Series{}, err
 	}
@@ -354,9 +348,8 @@ func Figure9Env(env Env) (Series, error) {
 		XLabel: "clock (MHz)",
 		YLabel: "utilization (%)",
 	}
-	for i, c := range cells {
-		step := cpu.MinStep + cpu.Step(i)
-		s.Points = append(s.Points, Point{X: step.MHz(), Y: c.MeanUtil * 100})
+	for i, c := range res.Cells {
+		s.Points = append(s.Points, Point{X: grid.Policies[i].MHz, Y: c.Result.MeanUtilization * 100})
 	}
 	return s, nil
 }

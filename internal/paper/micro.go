@@ -1,4 +1,4 @@
-package expt
+package paper
 
 import (
 	"fmt"

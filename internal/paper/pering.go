@@ -1,8 +1,9 @@
-package expt
+package paper
 
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"clocksched/internal/battery"
 	"clocksched/internal/cpu"
@@ -100,32 +101,30 @@ type PlaybackRow struct {
 // Table 2 configuration with the battery model: how many hours of MPEG a
 // pair of AAA cells actually buys under each policy. The heavy-load Peukert
 // exponent (2.0, see MartinOptimum) applies because playback draws two
-// orders of magnitude more than idle.
-func PlaybackLifetime(seed uint64) ([]PlaybackRow, error) {
+// orders of magnitude more than idle. The five 30-second playback cells run
+// through the environment's executor.
+func PlaybackLifetime(env Env) ([]PlaybackRow, error) {
 	cell, err := battery.NewPeukert(3.0, 2.0, 0.05, sim.FromSeconds(1.1/0.05*3600))
 	if err != nil {
 		return nil, err
 	}
-	rows2, err := table2Specs()
+	grid := Table2Config(env.Seed)
+	grid.Seeds = grid.Seeds[:1]
+	grid.Duration = 30 * time.Second
+	res, err := env.sweep(grid)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]PlaybackRow, 0, len(rows2))
-	for _, c := range rows2 {
-		spec := c.spec()
-		spec.Seed = seed
-		spec.Duration = 30 * sim.Second
-		res, err := Run(spec)
-		if err != nil {
-			return nil, err
-		}
-		life, err := cell.Lifetime(res.AvgPowerW)
+	out := make([]PlaybackRow, 0, len(table2Policies))
+	for i, c := range table2Policies {
+		power := res.Cells[i].Result.AvgPowerWatts
+		life, err := cell.Lifetime(power)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, PlaybackRow{
 			Policy:    c.name,
-			AvgPowerW: res.AvgPowerW,
+			AvgPowerW: power,
 			Hours:     life.Seconds() / 3600,
 		})
 	}

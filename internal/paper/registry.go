@@ -1,9 +1,10 @@
-package expt
+package paper
 
 import (
 	"fmt"
 	"strings"
 
+	"clocksched/internal/fleet"
 	"clocksched/internal/plot"
 )
 
@@ -21,7 +22,7 @@ type Experiment struct {
 	// Paper says what the experiment reproduces.
 	Paper string
 	// Run executes the experiment under the given environment (seed,
-	// context, worker count, cell cache).
+	// context, grid executor).
 	Run func(env Env) (summary string, artifacts []Artifact, err error)
 }
 
@@ -150,13 +151,12 @@ func runFigure7(Env) (string, []Artifact, error) {
 }
 
 func runFigure8(env Env) (string, []Artifact, error) {
-	s, out, err := Figure8(env.Seed)
+	s, res, err := Figure8(env)
 	if err != nil {
 		return "", nil, err
 	}
 	summary := fmt.Sprintf("%s\n%s\nclock changes over 30s: %d; deadlines missed: %d\n",
-		s.Name, s.Sparkline(80), out.Kernel.SpeedChanges(),
-		out.Workload.Metrics().MissCount(table2Slack))
+		s.Name, s.Sparkline(80), res.ClockChanges, res.Misses)
 	arts := append([]Artifact{{Name: "figure8.dat", Content: s.Render()}},
 		svgArtifact("figure8.svg", s)...)
 	return summary, arts, nil
@@ -269,7 +269,7 @@ func runPering(env Env) (string, []Artifact, error) {
 }
 
 func runPlayback(env Env) (string, []Artifact, error) {
-	rows, err := PlaybackLifetime(env.Seed)
+	rows, err := PlaybackLifetime(env)
 	if err != nil {
 		return "", nil, err
 	}
@@ -310,12 +310,21 @@ func runDVS(env Env) (string, []Artifact, error) {
 }
 
 func runWeiser(env Env) (string, []Artifact, error) {
-	rows, err := WeiserOnWorkloads(env.Seed)
+	rows, err := WeiserOnWorkloads(env)
 	if err != nil {
 		return "", nil, err
 	}
 	text := RenderWeiser(rows)
 	return text, []Artifact{{Name: "weiser.txt", Content: text}}, nil
+}
+
+func runFleet(env Env) (string, []Artifact, error) {
+	pop, err := FleetEnv(env, fleet.ExperimentDevices())
+	if err != nil {
+		return "", nil, err
+	}
+	text := pop.Render()
+	return text, []Artifact{{Name: "fleet.txt", Content: text}}, nil
 }
 
 func runZoo(env Env) (string, []Artifact, error) {

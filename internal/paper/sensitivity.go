@@ -1,11 +1,14 @@
-package expt
+package paper
 
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"clocksched"
 	"clocksched/internal/battery"
 	"clocksched/internal/cpu"
+	"clocksched/internal/expt"
 	"clocksched/internal/policy"
 	"clocksched/internal/sim"
 )
@@ -30,43 +33,33 @@ func ThresholdSensitivity(seed uint64) ([]SensitivityCell, error) {
 	return ThresholdSensitivityEnv(DefaultEnv(seed))
 }
 
-// ThresholdSensitivityEnv runs the sensitivity grid across the
-// environment's worker pool.
+// ThresholdSensitivityEnv runs the sensitivity grid through the
+// environment's executor.
 func ThresholdSensitivityEnv(env Env) ([]SensitivityCell, error) {
 	grids := []struct{ lo, hi int }{
 		{30, 50}, {50, 70}, {70, 85}, {85, 95}, {93, 98},
 	}
-	workloads := []string{"mpeg", "editor"}
-	const length = 20 * sim.Second
-
-	var grid []GridCell
-	for _, w := range workloads {
-		for _, g := range grids {
-			w, g := w, g
-			grid = append(grid, GridCell{
-				Key: fmt.Sprintf("sensitivity|%s|%d-%d|seed=%d|dur=%d", w, g.lo, g.hi, env.Seed, length),
-				Spec: func() RunSpec {
-					gov := policy.MustGovernor(policy.MustAvgN(9), policy.One{}, policy.One{},
-						policy.Bounds{Lo: g.lo * 100, Hi: g.hi * 100}, false)
-					return RunSpec{
-						Workload: w, Seed: env.Seed, Duration: length,
-						Policy: gov, InitialStep: cpu.MaxStep,
-					}
-				},
-			})
-		}
+	grid := clocksched.SweepConfig{
+		Workloads: []clocksched.Workload{clocksched.MPEG, clocksched.TalkingEditor},
+		Seeds:     []uint64{env.Seed},
+		Duration:  20 * time.Second,
 	}
-	out, err := RunGrid(env, grid, false)
+	for _, g := range grids {
+		grid.Policies = append(grid.Policies, clocksched.Policy{
+			AvgN: 9, Up: clocksched.One, Down: clocksched.One, LoPercent: g.lo, HiPercent: g.hi,
+		})
+	}
+	res, err := env.sweep(grid)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]SensitivityCell, 0, len(out))
-	for i, c := range out {
+	cells := make([]SensitivityCell, 0, len(res.Cells))
+	for i, c := range res.Cells {
 		g := grids[i%len(grids)]
 		cells = append(cells, SensitivityCell{
-			LoPct: g.lo, HiPct: g.hi, Workload: workloads[i/len(grids)],
-			EnergyJ: c.EnergyJ,
-			Misses:  c.Misses,
+			LoPct: g.lo, HiPct: g.hi, Workload: string(grid.Workloads[i/len(grids)]),
+			EnergyJ: c.Result.EnergyJoules,
+			Misses:  c.Result.Misses,
 		})
 	}
 	return cells, nil
@@ -99,23 +92,24 @@ type ExhaustionResult struct {
 // PlayUntilExhaustion loops a measured 30-second MPEG power profile through
 // a kinetic battery model until the cell gives out, for a constant-speed
 // baseline and the best heuristic. The KiBaM cell is sized like a pair of
-// AAA alkalines (≈1.1 Ah at 3 V).
+// AAA alkalines (≈1.1 Ah at 3 V). It needs the raw power timeline, which
+// no public Result carries, so it calls the single-cell runner directly.
 func PlayUntilExhaustion(seed uint64) ([]ExhaustionResult, error) {
 	type cfg struct {
 		name string
-		spec RunSpec
+		spec expt.RunSpec
 	}
 	configs := []cfg{
-		{"Constant 206.4 MHz", RunSpec{Workload: "mpeg", Seed: seed,
+		{"Constant 206.4 MHz", expt.RunSpec{Workload: "mpeg", Seed: seed,
 			Duration: 30 * sim.Second, InitialStep: cpu.MaxStep}},
-		{"PAST, peg-peg, 93%-98%", RunSpec{Workload: "mpeg", Seed: seed,
+		{"PAST, peg-peg, 93%-98%", expt.RunSpec{Workload: "mpeg", Seed: seed,
 			Duration: 30 * sim.Second, InitialStep: cpu.MaxStep,
 			Policy: policy.MustGovernor(policy.NewPAST(), policy.Peg{}, policy.Peg{},
 				policy.BestBounds, false)}},
 	}
 	var out []ExhaustionResult
 	for _, c := range configs {
-		run, err := Run(c.spec)
+		run, err := expt.Run(c.spec)
 		if err != nil {
 			return nil, err
 		}

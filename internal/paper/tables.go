@@ -1,12 +1,12 @@
-package expt
+package paper
 
 import (
 	"fmt"
 	"strings"
 
+	"clocksched"
 	"clocksched/internal/cpu"
 	"clocksched/internal/policy"
-	"clocksched/internal/sim"
 	"clocksched/internal/stats"
 )
 
@@ -83,107 +83,78 @@ type Table2Row struct {
 // confidence interval.
 const Table2Runs = 10
 
-// table2Slack is the perceptual slack for MPEG deadlines: half a frame.
-const table2Slack = 33 * sim.Millisecond
-
-// table2Config names one Table 2 configuration and builds its run spec.
-// The spec builder is called per run because governors carry state.
-type table2Config struct {
-	name string
-	spec func() RunSpec
+// table2Policies lists the five Table 2 configurations in presentation
+// order: three constant-speed baselines, the best-found PAST peg-peg
+// policy, and the same policy with voltage scaling below 162.2 MHz.
+// PlaybackLifetime reuses them.
+var table2Policies = []struct {
+	name   string
+	policy clocksched.Policy
+}{
+	{"Constant Speed @ 206.4 MHz, 1.5 Volts", clocksched.Policy{Constant: true, MHz: 206.4}},
+	{"Constant Speed @ 132.7 MHz, 1.5 Volts", clocksched.Policy{Constant: true, MHz: 132.7}},
+	{"Constant Speed @ 132.7 MHz, 1.23 Volts", clocksched.Policy{Constant: true, MHz: 132.7, LowVoltage: true}},
+	{"PAST, Peg-Peg, Thresholds: >98% up, <93% down, 1.5 Volts", pastPegPeg(false)},
+	{"PAST, Peg-Peg, Thresholds: >98% up, <93% down, Voltage Scaling @ 162.2 MHz", pastPegPeg(true)},
 }
 
-// table2Specs lists the five Table 2 configurations; PlaybackLifetime
-// reuses them.
-func table2Specs() ([]table2Config, error) {
-	constant := func(step cpu.Step, v cpu.Voltage) func() RunSpec {
-		return func() RunSpec {
-			return RunSpec{Workload: "mpeg", InitialStep: step, InitialV: v}
-		}
+// pastPegPeg is the best policy the paper found: PAST prediction, peg-peg
+// speed setting, scale up above 98% and down below 93%.
+func pastPegPeg(voltageScale bool) clocksched.Policy {
+	return clocksched.Policy{Up: clocksched.Peg, Down: clocksched.Peg,
+		LoPercent: 93, HiPercent: 98, VoltageScale: voltageScale}
+}
+
+// Table2Config returns the Table 2 measurement grid: the five
+// configurations × Table2Runs seeds of the 60-second MPEG workload, seeds
+// starting at seed. The table experiment, its -remote and -peers runs, and
+// the benchsweep reference grid all sweep exactly this configuration.
+func Table2Config(seed uint64) clocksched.SweepConfig {
+	cfg := clocksched.SweepConfig{Workloads: []clocksched.Workload{clocksched.MPEG}}
+	for _, p := range table2Policies {
+		cfg.Policies = append(cfg.Policies, p.policy)
 	}
-	best := func(voltageScale bool) func() RunSpec {
-		return func() RunSpec {
-			gov := policy.MustGovernor(policy.NewPAST(), policy.Peg{}, policy.Peg{},
-				policy.BestBounds, voltageScale)
-			return RunSpec{Workload: "mpeg", Policy: gov, InitialStep: cpu.MaxStep}
-		}
+	for i := uint64(0); i < Table2Runs; i++ {
+		cfg.Seeds = append(cfg.Seeds, seed+i)
 	}
-	return []table2Config{
-		{"Constant Speed @ 206.4 MHz, 1.5 Volts", constant(cpu.MaxStep, cpu.VHigh)},
-		{"Constant Speed @ 132.7 MHz, 1.5 Volts", constant(cpu.Step(5), cpu.VHigh)},
-		{"Constant Speed @ 132.7 MHz, 1.23 Volts", constant(cpu.Step(5), cpu.VLow)},
-		{"PAST, Peg-Peg, Thresholds: >98% up, <93% down, 1.5 Volts", best(false)},
-		{"PAST, Peg-Peg, Thresholds: >98% up, <93% down, Voltage Scaling @ 162.2 MHz", best(true)},
-	}, nil
+	return cfg
 }
 
 // Table2 reproduces the energy comparison of the best clock scaling
-// algorithms on MPEG: three constant-speed baselines, the best-found PAST
-// peg-peg policy, and the same policy with voltage scaling below 162.2 MHz.
-// It runs the grid serially; Table2Env fans it across workers.
+// algorithms on MPEG over seeds 1..Table2Runs, serially; Table2Env fans it
+// across the environment's executor.
 func Table2() ([]Table2Row, error) {
-	return Table2Env(DefaultEnv(0))
+	return Table2Env(DefaultEnv(1))
 }
 
-// Table2Grid returns the Table 2 measurement grid — every (configuration,
-// seed) cell in presentation order — so sweeps and benchmarks can run the
-// exact grid the table folds.
-func Table2Grid() ([]GridCell, error) {
-	configs, err := table2Specs()
-	if err != nil {
-		return nil, err
-	}
-	var cells []GridCell
-	for _, c := range configs {
-		for seed := uint64(1); seed <= Table2Runs; seed++ {
-			build := c.spec
-			cells = append(cells, GridCell{
-				Key: fmt.Sprintf("table2|%s|seed=%d", c.name, seed),
-				Spec: func() RunSpec {
-					spec := build()
-					spec.Seed = seed
-					return spec
-				},
-			})
-		}
-	}
-	return cells, nil
-}
-
-// Table2Env reproduces Table 2 across the environment's worker pool. The
-// rows are bit-identical whatever the worker count: each cell is an
-// independent deterministic simulation and the merge is ordered by grid
-// index.
+// Table2Env reproduces Table 2 over seeds Env.Seed onwards. The rows are
+// bit-identical whatever executes the grid: each cell is an independent
+// deterministic simulation and the fold reads cells by grid position.
 func Table2Env(env Env) ([]Table2Row, error) {
-	configs, err := table2Specs()
-	if err != nil {
-		return nil, err
-	}
-	grid, err := Table2Grid()
-	if err != nil {
-		return nil, err
-	}
-	cells, err := RunGrid(env, grid, false)
+	res, err := env.sweep(Table2Config(env.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("table 2: %w", err)
 	}
-	rows := make([]Table2Row, 0, len(configs))
-	for ci, c := range configs {
+	rows := make([]Table2Row, 0, len(table2Policies))
+	for pi, p := range table2Policies {
 		energies := make([]float64, 0, Table2Runs)
 		misses := 0
 		changes := 0
 		for si := 0; si < Table2Runs; si++ {
-			cell := cells[ci*Table2Runs+si]
-			energies = append(energies, cell.EnergyJ)
-			misses += cell.Misses
-			changes += cell.SpeedChanges
+			cell := res.CellAt(0, pi, si)
+			if cell == nil || cell.Result == nil {
+				return nil, fmt.Errorf("table 2: missing cell (policy %d, seed %d)", pi, si)
+			}
+			energies = append(energies, cell.Result.EnergyJoules)
+			misses += cell.Result.Misses
+			changes += cell.Result.ClockChanges
 		}
 		ci95, err := stats.CI95(energies)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Table2Row{
-			Algorithm:    c.name,
+			Algorithm:    p.name,
 			Energy:       ci95,
 			Misses:       misses,
 			SpeedChanges: float64(changes) / Table2Runs,

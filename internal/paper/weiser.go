@@ -1,12 +1,12 @@
-package expt
+package paper
 
 import (
 	"fmt"
 	"strings"
+	"time"
 
-	"clocksched/internal/cpu"
+	"clocksched"
 	"clocksched/internal/policy"
-	"clocksched/internal/sim"
 )
 
 // This file applies Weiser et al.'s original trace-driven methodology —
@@ -31,24 +31,19 @@ type WeiserRow struct {
 }
 
 // WeiserOnWorkloads records utilization traces from full-speed runs of the
-// four applications and scores the offline schedules on each.
-func WeiserOnWorkloads(seed uint64) ([]WeiserRow, error) {
+// four applications and scores the offline schedules on each. The trace
+// cells are the zoo comparison's, and so shared through the cache.
+func WeiserOnWorkloads(env Env) ([]WeiserRow, error) {
 	const floor = 0.01
+	res, err := env.sweep(clocksched.SweepConfig{Cells: fullSpeedTraces(env.Seed, 30*time.Second)})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]WeiserRow, 0, len(FigureWorkloads))
-	for _, w := range FigureWorkloads {
-		out, err := Run(RunSpec{
-			Workload: w, Seed: seed,
-			Duration:    30 * sim.Second,
-			InitialStep: cpu.MaxStep,
-		})
-		if err != nil {
-			return nil, err
-		}
-		util := make([]float64, 0, len(out.Kernel.UtilLog()))
+	for i, w := range FigureWorkloads {
+		util := traceUtil(res.Cells[i].Result)
 		totalWork := 0.0
-		for _, u := range out.Kernel.UtilLog() {
-			v := float64(u.PP10K) / 10000
-			util = append(util, v)
+		for _, v := range util {
 			totalWork += v
 		}
 		if totalWork == 0 {

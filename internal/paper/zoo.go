@@ -1,17 +1,17 @@
-package expt
+package paper
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strings"
-	"sync"
+	"time"
 
+	"clocksched"
 	"clocksched/internal/cpu"
 	"clocksched/internal/policy"
-	"clocksched/internal/sim"
 )
 
-// This file is the standing optimality-gap experiment of ISSUE 8: every
+// This file is the standing optimality-gap experiment: every
 // registered policy × every application workload, scored against the
 // offline optimal schedule. The paper's Table 2 compares heuristics to
 // each other; this table quantifies how far each one sits from the true
@@ -30,42 +30,9 @@ import (
 // feasible schedule can therefore never score below the oracle, and the
 // table's "×opt" column is a true optimality gap.
 //
-// The policy list is injected by the root clocksched package at init
-// (SetPolicyZoo) because the experiment layer cannot import the registry —
-// the root package sits above it.
-
-// ZooPolicy is one injected comparison policy: a registry name plus a
-// RunSpec builder (fresh per call, since kernel policies carry state).
-type ZooPolicy struct {
-	Name string
-	Spec func() (RunSpec, error)
-}
-
-var zooInjected struct {
-	sync.Mutex
-	list func() []ZooPolicy
-}
-
-// SetPolicyZoo installs the registered-policy enumeration used by the zoo
-// experiment. The root package calls this from init; later calls replace
-// the hook (tests may narrow the set).
-func SetPolicyZoo(list func() []ZooPolicy) {
-	zooInjected.Lock()
-	defer zooInjected.Unlock()
-	zooInjected.list = list
-}
-
-func policyZoo() ([]ZooPolicy, error) {
-	zooInjected.Lock()
-	defer zooInjected.Unlock()
-	if zooInjected.list == nil {
-		return nil, fmt.Errorf("expt: policy zoo not injected; import the clocksched package")
-	}
-	zoo := zooInjected.list()
-	sorted := append([]ZooPolicy(nil), zoo...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Name < sorted[b].Name })
-	return sorted, nil
-}
+// The policy list is the registry's, read at run time: policies registered
+// after package init (other packages, tests) join the comparison, each at
+// its default parameters.
 
 // ZooSlackQuanta is the deadline slack granted to each trace interval's
 // work in the oracle instance: 3 quanta ≈ 30 ms, the paper's perceptual
@@ -90,82 +57,82 @@ type ZooRow struct {
 	Norm         float64 // TraceEnergy / oracle's TraceEnergy (the gap)
 }
 
-// ZooComparison runs the optimality-gap grid: all injected policies × the
+// fullSpeedTraces are the trace cells of the zoo and Weiser experiments:
+// each of FigureWorkloads at constant full speed, utilization trace
+// retained.
+func fullSpeedTraces(seed uint64, duration time.Duration) []clocksched.Config {
+	cells := make([]clocksched.Config, len(FigureWorkloads))
+	for i, w := range FigureWorkloads {
+		cells[i] = clocksched.Config{
+			Workload: clocksched.Workload(w), Seed: seed, Duration: duration, CaptureTrace: true,
+		}
+	}
+	return cells
+}
+
+// traceUtil extracts a traced cell's per-quantum utilization.
+func traceUtil(r *clocksched.Result) []float64 {
+	util := make([]float64, 0, r.TraceLen())
+	for u := range r.TraceSeq() {
+		util = append(util, u.Utilization)
+	}
+	return util
+}
+
+// ZooComparison runs the optimality-gap grid: all registered policies × the
 // four application workloads, plus the oracle row per workload. Rows come
 // back grouped by workload in FigureWorkloads order, oracle first, then
 // policies sorted by name.
-func ZooComparison(env Env, duration sim.Duration) ([]ZooRow, error) {
+func ZooComparison(env Env, duration time.Duration) ([]ZooRow, error) {
 	if duration <= 0 {
-		duration = 30 * sim.Second
+		duration = 30 * time.Second
 	}
-	zoo, err := policyZoo()
-	if err != nil {
-		return nil, err
-	}
-
-	// Builders must be deterministic, so one eager dry run per policy turns
-	// any construction error into an immediate failure instead of a grid
-	// cell error; the worker-side call below then cannot fail.
-	for _, zp := range zoo {
-		if _, err := zp.Spec(); err != nil {
-			return nil, fmt.Errorf("expt: zoo policy %q: %w", zp.Name, err)
+	names := clocksched.RegisteredPolicies()
+	zoo := make([]clocksched.Policy, len(names))
+	for i, name := range names {
+		p, err := clocksched.NewPolicy(name, nil)
+		if err != nil {
+			return nil, fmt.Errorf("paper: zoo policy %q: %w", name, err)
 		}
+		zoo[i] = p
 	}
 
 	// One grid for everything: per workload, a full-speed trace cell plus
 	// one cell per policy.
-	var cells []GridCell
-	for _, w := range FigureWorkloads {
-		w := w
-		cells = append(cells, GridCell{
-			Key: fmt.Sprintf("zoo/%s/trace/seed=%d/dur=%d", w, env.Seed, duration),
-			Spec: func() RunSpec {
-				return RunSpec{
-					Workload: w, Seed: env.Seed, Duration: duration,
-					InitialStep: cpu.MaxStep,
-				}
-			},
-		})
-		for _, zp := range zoo {
-			zp := zp
-			cells = append(cells, GridCell{
-				Key: fmt.Sprintf("zoo/%s/policy=%s/seed=%d/dur=%d", w, zp.Name, env.Seed, duration),
-				Spec: func() RunSpec {
-					spec, _ := zp.Spec() // validated above
-					spec.Workload = w
-					spec.Seed = env.Seed
-					spec.Duration = duration
-					return spec
-				},
-			})
+	traces := fullSpeedTraces(env.Seed, duration)
+	var cells []clocksched.Config
+	for _, trace := range traces {
+		cells = append(cells, trace)
+		for _, p := range zoo {
+			cell := trace
+			cell.Policy = p
+			cells = append(cells, cell)
 		}
 	}
-	out, err := RunGrid(env, cells, true)
+	res, err := env.sweep(clocksched.SweepConfig{Cells: cells})
 	if err != nil {
 		return nil, err
 	}
 
-	// Index the cells and score each workload group.
+	// Score each workload group.
 	var rows []ZooRow
 	for wi, w := range FigureWorkloads {
 		base := wi * (1 + len(zoo))
-		trace := out[base]
-		util := make([]float64, len(trace.Util))
+		util := traceUtil(res.Cells[base].Result)
 		totalWork := 0.0
-		for i, u := range trace.Util {
-			util[i] = float64(u.PP10K) / 10000
-			totalWork += util[i]
+		for _, v := range util {
+			totalWork += v
 		}
 		if totalWork == 0 {
-			return nil, fmt.Errorf("expt: zoo workload %q recorded no work", w)
+			return nil, fmt.Errorf("paper: zoo workload %q recorded no work", w)
 		}
 		jobs := policy.OracleFromTrace(util, ZooSlackQuanta)
 		sched, err := policy.OptimalSchedule(jobs)
 		if err != nil {
-			return nil, fmt.Errorf("expt: zoo oracle for %q: %w", w, err)
+			return nil, fmt.Errorf("paper: zoo oracle for %q: %w", w, err)
 		}
 		if missed, late := policy.VerifySchedule(jobs, sched); missed > 1e-6 || late != 0 {
-			return nil, fmt.Errorf("expt: zoo oracle for %q misses %v work (%d jobs)",
+			return nil, fmt.Errorf("paper: zoo oracle for %q misses %v work (%d jobs)",
 				w, missed, late)
 		}
 		oracleEnergy := sched.Energy()
@@ -175,15 +142,16 @@ func ZooComparison(env Env, duration sim.Duration) ([]ZooRow, error) {
 			TraceEnergy: oracleEnergy / totalWork,
 			Norm:        1,
 		})
-		for pi, zp := range zoo {
-			cell := out[base+1+pi]
-			if len(cell.Util) != len(util) {
-				return nil, fmt.Errorf("expt: zoo %q/%s: %d quanta vs %d in the trace run",
-					w, zp.Name, len(cell.Util), len(util))
+		for pi, name := range names {
+			r := res.Cells[base+1+pi].Result
+			if r.TraceLen() != len(util) {
+				return nil, fmt.Errorf("paper: zoo %q/%s: %d quanta vs %d in the trace run",
+					w, name, r.TraceLen(), len(util))
 			}
-			speeds := make([]float64, len(cell.Util))
-			for i, u := range cell.Util {
-				speeds[i] = float64(u.StepAt.KHz()) / float64(cpu.MaxStep.KHz())
+			speeds := make([]float64, 0, len(util))
+			for u := range r.TraceSeq() {
+				step := cpu.NearestStep(int64(math.Round(u.MHz * 1000)))
+				speeds = append(speeds, float64(step.KHz())/float64(cpu.MaxStep.KHz()))
 			}
 			sc := policy.ScoreSpeeds(jobs, speeds, true)
 			missPct := 0.0
@@ -192,10 +160,10 @@ func ZooComparison(env Env, duration sim.Duration) ([]ZooRow, error) {
 			}
 			rows = append(rows, ZooRow{
 				Workload:     w,
-				Policy:       zp.Name,
-				EnergyJ:      cell.EnergyJ,
-				Deadlines:    cell.Deadlines,
-				Misses:       cell.Misses,
+				Policy:       name,
+				EnergyJ:      r.EnergyJoules,
+				Deadlines:    r.Deadlines,
+				Misses:       r.Misses,
 				TraceEnergy:  sc.Energy / totalWork,
 				TraceMissPct: missPct,
 				Norm:         sc.Energy / oracleEnergy,

@@ -26,7 +26,7 @@ func killGrid() clocksched.SweepConfig {
 	}
 	return clocksched.SweepConfig{
 		Workloads: []clocksched.Workload{clocksched.RectWave},
-		Policies:  []clocksched.Policy{clocksched.PASTPegPeg()},
+		Policies:  []clocksched.Policy{clocksched.Policy{Up: clocksched.Peg, Down: clocksched.Peg, LoPercent: 93, HiPercent: 98}},
 		Seeds:     seeds,
 		Duration:  2 * time.Second,
 	}

@@ -19,7 +19,7 @@ import (
 // exactly what an uninterrupted local Sweep of the same grid encodes.
 func TestRegisteredPolicyThroughService(t *testing.T) {
 	err := clocksched.RegisterPolicy("svc-test-past", func(ps clocksched.Params) (clocksched.Policy, error) {
-		p := clocksched.PASTPegPeg()
+		p := clocksched.Policy{Up: clocksched.Peg, Down: clocksched.Peg, LoPercent: 93, HiPercent: 98}
 		p.LoPercent = ps.Int("lo_percent", p.LoPercent)
 		p.HiPercent = ps.Int("hi_percent", p.HiPercent)
 		return p, nil

@@ -27,7 +27,7 @@ func testGrid(seeds int) clocksched.SweepConfig {
 	}
 	return clocksched.SweepConfig{
 		Workloads: []clocksched.Workload{clocksched.RectWave},
-		Policies:  []clocksched.Policy{clocksched.PASTPegPeg()},
+		Policies:  []clocksched.Policy{clocksched.Policy{Up: clocksched.Peg, Down: clocksched.Peg, LoPercent: 93, HiPercent: 98}},
 		Seeds:     ss,
 		Duration:  2 * time.Second,
 	}

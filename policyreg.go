@@ -10,8 +10,7 @@ import (
 	"sync"
 )
 
-// This file is the extensible policy registry: the open-ended replacement
-// for the package's original closed constructor set. A policy is named by a
+// This file is the extensible policy registry. A policy is named by a
 // PolicyRef — a registry name plus a flat numeric parameter map — and
 // materialized through the builder registered under that name. The five
 // paper policies are pre-registered below; future families (OA, AVR, BKP,
@@ -23,8 +22,8 @@ import (
 // inside a SweepSpec and reconstructs through the receiving process's
 // registry. Its Name(), validation, and execution are exactly those of the
 // resolved fields: a ref-built PAST-peg-peg is indistinguishable at run
-// time from the deprecated PASTPegPeg() constructor's output, so Table 2
-// rows and result semantics are stable across the two forms.
+// time from the equivalent flat Policy literal, so Table 2 rows and result
+// semantics are stable across the two forms.
 
 // PolicyRef names a registered policy and its parameters. The zero Params
 // map selects every default. Params values are plain float64s so the ref
@@ -222,14 +221,15 @@ func init() {
 	zoo("avr")
 	zoo("bkp")
 	mustRegister("constant", func(ps Params) (Policy, error) {
-		return ConstantPolicy(ps.Get("mhz", 206.4), ps.Bool("low_voltage", false)), nil
+		return Policy{Constant: true, MHz: ps.Get("mhz", 206.4), LowVoltage: ps.Bool("low_voltage", false)}, nil
 	})
 	mustRegister("past-peg-peg", func(ps Params) (Policy, error) {
-		p := PASTPegPeg()
-		p.LoPercent = ps.Int("lo_percent", p.LoPercent)
-		p.HiPercent = ps.Int("hi_percent", p.HiPercent)
-		p.VoltageScale = ps.Bool("voltage_scale", false)
-		return p, nil
+		return Policy{
+			Up: Peg, Down: Peg,
+			LoPercent:    ps.Int("lo_percent", 93),
+			HiPercent:    ps.Int("hi_percent", 98),
+			VoltageScale: ps.Bool("voltage_scale", false),
+		}, nil
 	})
 	mustRegister("pering-avg-n", func(ps Params) (Policy, error) {
 		up, err := setterFromCode(ps.Int("up", 2))
@@ -240,15 +240,16 @@ func init() {
 		if err != nil {
 			return Policy{}, fmt.Errorf("down: %w", err)
 		}
-		p := PeringAvgN(ps.Int("n", 12), up, down)
-		p.VoltageScale = ps.Bool("voltage_scale", false)
-		return p, nil
+		return Policy{
+			AvgN: ps.Int("n", 12), Up: up, Down: down, LoPercent: 50, HiPercent: 70,
+			VoltageScale: ps.Bool("voltage_scale", false),
+		}, nil
 	})
 	mustRegister("deadline", func(ps Params) (Policy, error) {
-		return DeadlinePolicy(ps.Bool("voltage_scale", false)), nil
+		return Policy{Deadline: true, VoltageScale: ps.Bool("voltage_scale", false)}, nil
 	})
 	mustRegister("proportional", func(ps Params) (Policy, error) {
-		return ProportionalPolicy(ps.Int("n", 12), ps.Int("target_percent", 80)), nil
+		return Policy{Proportional: true, AvgN: ps.Int("n", 12), TargetPercent: ps.Int("target_percent", 80)}, nil
 	})
 }
 

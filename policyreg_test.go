@@ -20,7 +20,7 @@ func registerForTest(t *testing.T, name string, b PolicyBuilder) {
 }
 
 // stripRef returns the policy's resolved fields alone, for comparing a
-// registry-built policy against its constructor-built equivalent.
+// registry-built policy against its flat-literal equivalent.
 func stripRef(p Policy) Policy {
 	p.Ref = nil
 	return p
@@ -41,21 +41,21 @@ func TestRegistryHasPaperPolicies(t *testing.T) {
 
 // TestNewPolicyMatchesConstructors pins the compatibility contract: each
 // pre-registered name with default parameters resolves to exactly the
-// fields the deprecated constructor produces, so Name() strings, Table 2
-// rows, and run results are identical across the two forms.
+// flat Policy fields the retired constructors produced, so Name() strings,
+// Table 2 rows, and run results are identical across the two forms.
 func TestNewPolicyMatchesConstructors(t *testing.T) {
 	cases := []struct {
 		name   string
 		params map[string]float64
 		want   Policy
 	}{
-		{"constant", nil, ConstantPolicy(206.4, false)},
-		{"constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}, ConstantPolicy(132.7, true)},
-		{"past-peg-peg", nil, PASTPegPeg()},
-		{"pering-avg-n", nil, PeringAvgN(12, Peg, Peg)},
-		{"pering-avg-n", map[string]float64{"n": 4, "up": 1, "down": 0}, PeringAvgN(4, Double, One)},
-		{"deadline", map[string]float64{"voltage_scale": 1}, DeadlinePolicy(true)},
-		{"proportional", nil, ProportionalPolicy(12, 80)},
+		{"constant", nil, Policy{Constant: true, MHz: 206.4}},
+		{"constant", map[string]float64{"mhz": 132.7, "low_voltage": 1}, Policy{Constant: true, MHz: 132.7, LowVoltage: true}},
+		{"past-peg-peg", nil, Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}},
+		{"pering-avg-n", nil, Policy{AvgN: 12, Up: Peg, Down: Peg, LoPercent: 50, HiPercent: 70}},
+		{"pering-avg-n", map[string]float64{"n": 4, "up": 1, "down": 0}, Policy{AvgN: 4, Up: Double, Down: One, LoPercent: 50, HiPercent: 70}},
+		{"deadline", map[string]float64{"voltage_scale": 1}, Policy{Deadline: true, VoltageScale: true}},
+		{"proportional", nil, Policy{Proportional: true, AvgN: 12, TargetPercent: 80}},
 	}
 	for _, c := range cases {
 		got, err := NewPolicy(c.name, c.params)
@@ -70,7 +70,7 @@ func TestNewPolicyMatchesConstructors(t *testing.T) {
 			t.Errorf("NewPolicy(%q, %v) = %+v, want %+v", c.name, c.params, stripRef(got), c.want)
 		}
 		if got.Name() != c.want.Name() {
-			t.Errorf("NewPolicy(%q).Name() = %q, constructor says %q", c.name, got.Name(), c.want.Name())
+			t.Errorf("NewPolicy(%q).Name() = %q, flat form says %q", c.name, got.Name(), c.want.Name())
 		}
 	}
 }
@@ -104,7 +104,7 @@ func TestNewPolicyRejectsBadInput(t *testing.T) {
 
 // TestPolicyJSONWireForms pins both encodings: a ref-built policy travels
 // as {"name", "params"} and reconstructs through the registry; a
-// constructor-built policy keeps the flat field form specs used before the
+// flat-literal policy keeps the flat field form specs used before the
 // registry existed.
 func TestPolicyJSONWireForms(t *testing.T) {
 	ref, err := NewPolicy("past-peg-peg", map[string]float64{"lo_percent": 90, "voltage_scale": 1})
@@ -126,13 +126,13 @@ func TestPolicyJSONWireForms(t *testing.T) {
 		t.Errorf("ref round trip: %+v != %+v", back, ref)
 	}
 
-	flat := PeringAvgN(8, Double, Peg)
+	flat := Policy{AvgN: 8, Up: Double, Down: Peg, LoPercent: 50, HiPercent: 70}
 	b, err = json.Marshal(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(b), `"name"`) {
-		t.Fatalf("constructor policy wire form = %s, want flat fields", b)
+		t.Fatalf("flat policy wire form = %s, want flat fields", b)
 	}
 	var flatBack Policy
 	if err := json.Unmarshal(b, &flatBack); err != nil {
@@ -159,7 +159,7 @@ func TestSweepSpecPolicyRefRoundTrip(t *testing.T) {
 	}
 	cfg := SweepConfig{
 		Workloads: []Workload{RectWave},
-		Policies:  []Policy{ref, PASTPegPeg()},
+		Policies:  []Policy{ref, Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}},
 		Seeds:     []uint64{1, 2},
 		Duration:  time.Second,
 	}
@@ -257,7 +257,7 @@ func TestCacheKeyDistinguishesRef(t *testing.T) {
 // produces exactly the measurements of the equivalent hand-built fields.
 func TestRegisteredOnlyPolicyThroughSweep(t *testing.T) {
 	registerForTest(t, "test-past-tight", func(ps Params) (Policy, error) {
-		p := PASTPegPeg()
+		p := Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}
 		p.LoPercent = ps.Int("lo_percent", 85)
 		p.HiPercent = ps.Int("hi_percent", 95)
 		return p, nil

@@ -12,7 +12,7 @@ func shardSpec(t *testing.T) SweepSpec {
 	t.Helper()
 	return NewSweepSpec(SweepConfig{
 		Workloads: []Workload{MPEG, RectWave},
-		Policies:  []Policy{ConstantPolicy(206.4, false), PASTPegPeg()},
+		Policies:  []Policy{Policy{Constant: true, MHz: 206.4}, Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}},
 		Seeds:     []uint64{1, 2, 3},
 		Duration:  time.Second,
 		FailFast:  true,

@@ -16,7 +16,7 @@ import (
 func specSweepConfig() SweepConfig {
 	return SweepConfig{
 		Workloads:     []Workload{RectWave, MPEG},
-		Policies:      []Policy{PASTPegPeg(), ConstantPolicy(206.4, false)},
+		Policies:      []Policy{Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Policy{Constant: true, MHz: 206.4}},
 		Seeds:         []uint64{1, 2},
 		Duration:      2 * time.Second,
 		DeadlineSlack: 33 * time.Millisecond,
@@ -69,9 +69,9 @@ func TestSweepSpecJSONRoundTrip(t *testing.T) {
 func TestSweepSpecExplicitCells(t *testing.T) {
 	cfg := SweepConfig{
 		Cells: []Config{
-			{Workload: RectWave, Policy: PASTPegPeg(), Seed: 7, Duration: time.Second,
+			{Workload: RectWave, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 7, Duration: time.Second,
 				Faults: &FaultPlan{SampleDropProb: 0.25}},
-			{Workload: MPEG, Policy: DeadlinePolicy(true), Seed: 9, Duration: 2 * time.Second},
+			{Workload: MPEG, Policy: Policy{Deadline: true, VoltageScale: true}, Seed: 9, Duration: 2 * time.Second},
 		},
 	}
 	raw, err := json.Marshal(NewSweepSpec(cfg))
@@ -138,7 +138,7 @@ func TestDurationJSONForms(t *testing.T) {
 func TestSweepResultEncodingCanonical(t *testing.T) {
 	cfg := specSweepConfig()
 	cfg.Workloads = []Workload{RectWave}
-	cfg.Policies = []Policy{PASTPegPeg()}
+	cfg.Policies = []Policy{Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}}
 	cache, err := NewSweepCache(0, "")
 	if err != nil {
 		t.Fatalf("cache: %v", err)
@@ -194,7 +194,7 @@ func TestSweepResultEncodingCanonical(t *testing.T) {
 func TestSweepResultEncodingCarriesErrors(t *testing.T) {
 	cfg := SweepConfig{
 		Cells: []Config{
-			{Workload: RectWave, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second,
+			{Workload: RectWave, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 1, Duration: time.Second,
 				Faults: &FaultPlan{CellAbortProb: 1}},
 		},
 	}

@@ -16,8 +16,8 @@ import (
 // table2Sweep is the full Table 2 measurement grid as a public sweep: five
 // policies × ten seeds of the 60-second MPEG workload.
 func table2Sweep(workers int) SweepConfig {
-	best := PASTPegPeg()
-	bestVS := PASTPegPeg()
+	best := Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}
+	bestVS := Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}
 	bestVS.VoltageScale = true
 	seeds := make([]uint64, 10)
 	for i := range seeds {
@@ -26,9 +26,9 @@ func table2Sweep(workers int) SweepConfig {
 	return SweepConfig{
 		Workloads: []Workload{MPEG},
 		Policies: []Policy{
-			ConstantPolicy(206.4, false),
-			ConstantPolicy(132.7, false),
-			ConstantPolicy(132.7, true),
+			Policy{Constant: true, MHz: 206.4},
+			Policy{Constant: true, MHz: 132.7},
+			Policy{Constant: true, MHz: 132.7, LowVoltage: true},
 			best,
 			bestVS,
 		},
@@ -72,7 +72,7 @@ func TestSweepDeterministicMerge(t *testing.T) {
 func TestSweepCellAt(t *testing.T) {
 	cfg := SweepConfig{
 		Workloads: []Workload{MPEG, RectWave},
-		Policies:  []Policy{ConstantPolicy(206.4, false), PASTPegPeg()},
+		Policies:  []Policy{Policy{Constant: true, MHz: 206.4}, Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}},
 		Seeds:     []uint64{1, 2},
 		Duration:  2 * time.Second,
 		Workers:   2,
@@ -89,7 +89,7 @@ func TestSweepCellAt(t *testing.T) {
 	if c == nil {
 		t.Fatal("CellAt(1,1,0) = nil")
 	}
-	if c.Config.Workload != RectWave || !reflect.DeepEqual(c.Config.Policy, PASTPegPeg()) || c.Config.Seed != 1 {
+	if c.Config.Workload != RectWave || !reflect.DeepEqual(c.Config.Policy, Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}) || c.Config.Seed != 1 {
 		t.Errorf("CellAt(1,1,0) resolved to %+v", c.Config)
 	}
 	if c != &res.Cells[(1*2+1)*2+0] {
@@ -153,7 +153,7 @@ func TestSweepCacheHitsAndStats(t *testing.T) {
 	}
 	cfg := SweepConfig{
 		Workloads: []Workload{MPEG},
-		Policies:  []Policy{PASTPegPeg()},
+		Policies:  []Policy{Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}},
 		Seeds:     []uint64{1, 2, 3},
 		Duration:  2 * time.Second,
 		Cache:     cache,
@@ -211,17 +211,17 @@ func TestSweepCacheHitsAndStats(t *testing.T) {
 }
 
 func TestCacheKeyChangesWithVersionAndSpec(t *testing.T) {
-	base := Config{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second}
+	base := Config{Workload: MPEG, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 1, Duration: time.Second}
 	if cacheKeyAt("sim/1", base) == cacheKeyAt("sim/2", base) {
 		t.Error("simulation version bump did not invalidate the key")
 	}
 	vary := []Config{
-		{Workload: Web, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second},
-		{Workload: MPEG, Policy: PeringAvgN(9, One, Double), Seed: 1, Duration: time.Second},
-		{Workload: MPEG, Policy: PASTPegPeg(), Seed: 2, Duration: time.Second},
-		{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: 2 * time.Second},
-		{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second, CaptureTrace: true},
-		{Workload: MPEG, Policy: PASTPegPeg(), Seed: 1, Duration: time.Second,
+		{Workload: Web, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 1, Duration: time.Second},
+		{Workload: MPEG, Policy: Policy{AvgN: 9, Up: One, Down: Double, LoPercent: 50, HiPercent: 70}, Seed: 1, Duration: time.Second},
+		{Workload: MPEG, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 2, Duration: time.Second},
+		{Workload: MPEG, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 1, Duration: 2 * time.Second},
+		{Workload: MPEG, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 1, Duration: time.Second, CaptureTrace: true},
+		{Workload: MPEG, Policy: Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}, Seed: 1, Duration: time.Second,
 			Faults: &FaultPlan{ClockChangeFailProb: 0.1}},
 	}
 	seen := map[string]int{cacheKey(base): -1}
@@ -240,7 +240,7 @@ func TestCacheKeyChangesWithVersionAndSpec(t *testing.T) {
 func TestResultWireRoundTrip(t *testing.T) {
 	res, err := Run(Config{
 		Workload:     MPEG,
-		Policy:       PASTPegPeg(),
+		Policy:       Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98},
 		Seed:         3,
 		Duration:     2 * time.Second,
 		CaptureTrace: true,
@@ -383,7 +383,7 @@ func TestTraceSeqEarlyStop(t *testing.T) {
 func ExampleSweep() {
 	res, err := Sweep(context.Background(), SweepConfig{
 		Workloads: []Workload{MPEG},
-		Policies:  []Policy{ConstantPolicy(206.4, false), PASTPegPeg()},
+		Policies:  []Policy{Policy{Constant: true, MHz: 206.4}, Policy{Up: Peg, Down: Peg, LoPercent: 93, HiPercent: 98}},
 		Seeds:     []uint64{1},
 		Duration:  10 * time.Second,
 		FailFast:  true,
