@@ -1,5 +1,6 @@
 # Build and verification tiers. `make check` is the full local gate:
-# static vetting (the separate perfbench module included), the complete
+# gofmt-clean sources, static vetting (the separate perfbench module
+# included), the complete
 # test suite under the race detector, short fuzz smokes of the trace
 # parser, the journal replayer, the job-spec decoder, the policy-registry
 # wire form, and the fabric shard-plan ledger,
@@ -14,13 +15,17 @@
 
 GO ?= go
 
-.PHONY: build bench-build test check vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-sweep bench-guard
+.PHONY: build bench-build test check fmt vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-sweep bench-guard
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Every Go file, the perfbench module's included, must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -118,5 +123,5 @@ bench-sweep:
 bench-guard:
 	$(GO) run ./cmd/benchsweep -guard -baseline BENCH_sweep.json
 
-check: vet bench-build race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-guard
+check: fmt vet bench-build race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-guard
 	@echo "check: all tiers passed"

@@ -35,6 +35,7 @@ import (
 	"clocksched/internal/cpu"
 	"clocksched/internal/expt"
 	"clocksched/internal/fault"
+	"clocksched/internal/kernel"
 	"clocksched/internal/policy"
 	"clocksched/internal/sim"
 )
@@ -608,6 +609,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	spec.Watchdog = cfg.Watchdog.internal()
 	spec.WatchdogSlack = sim.Duration(slack / time.Microsecond)
 	spec.Telemetry = cfg.Telemetry.registry()
+	// Every Result field comes from the run's digests; the records
+	// themselves are kept only for the trace.
+	spec.Retain = kernel.RetainDigests
+	if cfg.CaptureTrace {
+		spec.Retain = kernel.RetainTraces
+	}
 
 	out, err := expt.RunContext(ctx, spec)
 	if err != nil {
@@ -630,7 +637,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Telemetry = RunTelemetry{
 		EventsFired: out.Kernel.Engine().Fired(),
-		Quanta:      len(out.Kernel.UtilLog()),
+		Quanta:      out.Kernel.Quanta(),
 		DAQSamples:  out.DAQ.Samples,
 	}
 	// The spec carries the unwrapped policy (the watchdog wraps a local

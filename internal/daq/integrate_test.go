@@ -149,3 +149,89 @@ func TestIntegrateAllocs(t *testing.T) {
 		t.Errorf("Integrate allocates %.1f objects per 60s window, want 0", allocs)
 	}
 }
+
+// TestIntegratorStreamMatchesReplay pins the run path against Integrate: a
+// recorder streaming its segments into an Integrator while the timeline is
+// written — discarding each one as it goes — must produce the summary a
+// replay of the finished timeline produces, bit for bit, with and without
+// sample faults (two injectors from one seed make the same draws).
+func TestIntegratorStreamMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	plans := []*fault.Plan{nil, {SampleDropProb: 0.1, SampleGlitchProb: 0.05}}
+	for trial := 0; trial < 100; trial++ {
+		plan := plans[trial%2]
+		seed := rng.Uint64()
+		end := sim.Time(10_000 + rng.Int63n(int64(sim.Second)))
+		start := sim.Time(rng.Int63n(int64(end) / 2))
+
+		injA, err := fault.NewInjector(plan, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		injB, err := fault.NewInjector(plan, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgA, cfgB := DefaultConfig(), DefaultConfig()
+		cfgA.Faults, cfgB.Faults = injA, injB
+
+		st := power.State{Step: cpu.MaxStep, V: cpu.VHigh, Mode: power.ModeActive}
+		ref := power.NewRecorder(power.DefaultModel(), st)
+		streamed := power.NewRecorder(power.DefaultModel(), st)
+		in, err := NewIntegrator(start, end, cfgA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed.Stream(in, false)
+		now := sim.Time(0)
+		writes := 1 + rng.Intn(40)
+		for i := 0; i < writes; i++ {
+			w := rng.Float64() * 8
+			for _, r := range []*power.Recorder{ref, streamed} {
+				if err := r.SetWatts(now, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rng.Intn(4) > 0 { // else the next write revises this instant
+				now += sim.Time(1 + rng.Int63n(int64(end)/20))
+			}
+			if now >= end {
+				break
+			}
+		}
+		for _, r := range []*power.Recorder{ref, streamed} {
+			if err := r.Finish(end); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		got, err := in.Summary()
+		if err != nil {
+			t.Fatalf("trial %d: streamed Summary: %v", trial, err)
+		}
+		want, err := Integrate(ref, start, end, cfgB)
+		if err != nil {
+			t.Fatalf("trial %d: Integrate: %v", trial, err)
+		}
+		got.Config.Faults, want.Config.Faults = nil, nil
+		if got != want {
+			t.Fatalf("trial %d: streamed summary diverges from replay:\n got %+v\nwant %+v", trial, got, want)
+		}
+		if injA.Counts() != injB.Counts() {
+			t.Fatalf("trial %d: fault tallies diverge: %+v vs %+v", trial, injA.Counts(), injB.Counts())
+		}
+	}
+}
+
+// TestIntegratorSummaryNeedsWholeWindow: a timeline that stops short of
+// the window end is an error, not a silently truncated integral.
+func TestIntegratorSummaryNeedsWholeWindow(t *testing.T) {
+	in, err := NewIntegrator(0, sim.Second, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Segment(0, sim.Second/2, 1)
+	if _, err := in.Summary(); err == nil {
+		t.Error("Summary of a half-covered window succeeded")
+	}
+}

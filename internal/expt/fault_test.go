@@ -51,16 +51,23 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 		TraceDropProb:       0.02,
 		TraceDelayProb:      0.02,
 	}
+	// deadlineDigest reads the deadline outcomes a run reports: the
+	// count, misses at a ladder of slacks, and each stream's worst
+	// lateness.
+	deadlineDigest := func(out *RunOutcome) []sim.Duration {
+		c := out.Workload.Metrics()
+		d := []sim.Duration{sim.Duration(c.Count()), c.MaxLatenessFor("frame"), c.MaxLatenessFor("audio")}
+		for _, slack := range []sim.Duration{0, sim.Millisecond, 10 * sim.Millisecond, 33 * sim.Millisecond, 100 * sim.Millisecond, sim.Second} {
+			d = append(d, sim.Duration(c.MissCount(slack)))
+		}
+		return d
+	}
 	run := func() (*RunOutcome, []sim.Duration) {
 		out, err := Run(mpegFaultSpec(plan))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var lates []sim.Duration
-		for _, d := range out.Workload.Metrics().Deadlines() {
-			lates = append(lates, d.Late())
-		}
-		return out, lates
+		return out, deadlineDigest(out)
 	}
 	a, aLates := run()
 	b, bLates := run()
@@ -75,7 +82,7 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 		t.Error("same seed+plan, different DAQ captures")
 	}
 	if !reflect.DeepEqual(aLates, bLates) {
-		t.Error("same seed+plan, different deadline outcomes")
+		t.Errorf("same seed+plan, different deadline outcomes: %v vs %v", aLates, bLates)
 	}
 }
 

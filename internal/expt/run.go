@@ -77,6 +77,12 @@ type RunSpec struct {
 	// plumbing: it never influences the simulation and is excluded from
 	// spec hashing.
 	Telemetry *telemetry.Registry
+	// Retain selects what the run keeps beyond the digests every result
+	// is computed from. The zero value, kernel.RetainTraces, keeps the
+	// power timeline (Kernel.Recorder().Points()) and the utilization
+	// log; kernel.RetainDigests keeps neither, and the measurements are
+	// bit-identical either way. Deadlines are only ever folded.
+	Retain kernel.Retention
 }
 
 // RunOutcome bundles everything a measurement run produced.
@@ -85,9 +91,9 @@ type RunOutcome struct {
 	Workload workload.Workload
 	Kernel   *kernel.Kernel
 	// DAQ is the instrument's digest of the run: sample count, energy,
-	// average and peak power. The per-sample array is no longer
-	// materialized on this path (daq.Sample remains available for callers
-	// that need raw readings).
+	// average and peak power, folded from the power timeline as the run
+	// produced it (daq.Sample remains available for callers that need
+	// raw readings).
 	DAQ daq.Summary
 
 	// Faults tallies what the injector actually did (zero when no plan
@@ -223,14 +229,17 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	cfg.CheckCancel = spec.Cancel
 	cfg.Telemetry = spec.Telemetry
 	cfg.EventCap = spec.EventCap
+	cfg.Retain = spec.Retain
 	if in, ok := pol.(interface {
 		Instrument(*telemetry.Registry)
 	}); ok && spec.Telemetry != nil {
 		in.Instrument(spec.Telemetry)
 	}
-	spec.Telemetry.Emit("run.start",
-		telemetry.F("workload", spec.Workload),
-		telemetry.F("seed", fmt.Sprint(spec.Seed)))
+	if spec.Telemetry != nil {
+		spec.Telemetry.Emit("run.start",
+			telemetry.F("workload", spec.Workload),
+			telemetry.F("seed", fmt.Sprint(spec.Seed)))
+	}
 	if cfg.EventCap == 0 {
 		// A real run fires a handful of events per quantum plus a few per
 		// workload burst; a thousand per simulated millisecond is two
@@ -241,21 +250,25 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	if spec.Model != nil {
 		cfg.Model = *spec.Model
 	}
+	dcfg := daq.DefaultConfig()
+	dcfg.Faults = inj
+	dcfg.Telemetry = spec.Telemetry
+	integ, err := daq.NewIntegrator(0, length, dcfg)
+	if err != nil {
+		return nil, err
+	}
 	k, err := kernel.New(eng, cfg)
 	if err != nil {
 		return nil, err
 	}
+	k.Recorder().Stream(integ, spec.Retain >= kernel.RetainTraces)
 	if err := w.Install(k); err != nil {
 		return nil, err
 	}
 	if err := k.Run(length); err != nil {
 		return nil, err
 	}
-
-	dcfg := daq.DefaultConfig()
-	dcfg.Faults = inj
-	dcfg.Telemetry = spec.Telemetry
-	sum, err := daq.Integrate(k.Recorder(), 0, length, dcfg)
+	sum, err := integ.Summary()
 	if err != nil {
 		return nil, err
 	}
@@ -269,17 +282,13 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		Watchdog:  wd,
 		EnergyJ:   sum.EnergyJ,
 		AvgPowerW: sum.AvgPowerW,
+		MeanUtil:  k.MeanUtil(),
 	}
-	if log := k.UtilLog(); len(log) > 0 {
-		sum := 0
-		for _, u := range log {
-			sum += u.PP10K
-		}
-		out.MeanUtil = float64(sum) / float64(len(log)) / 10000
+	if spec.Telemetry != nil {
+		spec.Telemetry.Emit("run.done",
+			telemetry.F("workload", spec.Workload),
+			telemetry.F("seed", fmt.Sprint(spec.Seed)),
+			telemetry.F("energy_j", fmt.Sprintf("%.4f", out.EnergyJ)))
 	}
-	spec.Telemetry.Emit("run.done",
-		telemetry.F("workload", spec.Workload),
-		telemetry.F("seed", fmt.Sprint(spec.Seed)),
-		telemetry.F("energy_j", fmt.Sprintf("%.4f", out.EnergyJ)))
 	return out, nil
 }

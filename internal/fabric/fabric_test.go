@@ -114,9 +114,9 @@ func TestFabricTwoPeersByteIdentical(t *testing.T) {
 	var mu sync.Mutex
 	lastDone := 0
 	got, co := runFabric(t, Config{
-		Peers:      []string{p1, p2},
-		ShardCells: 2,
-		StealAfter: -1, // exact dispatch accounting below
+		Peers:        []string{p1, p2},
+		ShardCells:   2,
+		StealAfter:   -1, // exact dispatch accounting below
 		PollInterval: 5 * time.Millisecond,
 		Progress: func(done, total int) {
 			mu.Lock()

@@ -31,6 +31,14 @@ const Stream = 0xFA017
 // retry budget could never help.
 const abortStreamBase = 0x7AB007E1
 
+// daqStream is the acquisition-fault stream (sample drops and glitches).
+// The DAQ folds its readings while the run is still making the
+// kernel-side draws on Stream, so sharing that stream would tie the
+// instrument's fault schedule to how the two interleave, and a copy of it
+// would replay the kernel's draws: the i-th reading's drop would be the
+// i-th clock change's failure.
+const daqStream = 0xDA0F17
+
 // ErrCellAbort is the injected mid-run failure. It declares itself
 // transient (Transient() == true), which is what tells the sweep's retry
 // layer the cell is worth re-running.
@@ -214,6 +222,7 @@ func (c Counts) String() string {
 type Injector struct {
 	plan     Plan
 	rng      *sim.RNG
+	daqRNG   *sim.RNG // acquisition faults, on daqStream
 	abortRNG *sim.RNG
 	counts   Counts
 }
@@ -244,6 +253,7 @@ func NewInjectorAttempt(p *Plan, seed uint64, attempt int) (*Injector, error) {
 	return &Injector{
 		plan:     p.withDefaults(),
 		rng:      sim.NewRNGStream(seed, Stream),
+		daqRNG:   sim.NewRNGStream(seed, daqStream),
 		abortRNG: sim.NewRNGStream(seed, abortStreamBase+uint64(attempt)),
 	}, nil
 }
@@ -298,7 +308,7 @@ func (in *Injector) DropSample() bool {
 	if in == nil || in.plan.SampleDropProb <= 0 {
 		return false
 	}
-	if !in.rng.Bool(in.plan.SampleDropProb) {
+	if !in.daqRNG.Bool(in.plan.SampleDropProb) {
 		return false
 	}
 	in.counts.SamplesDropped++
@@ -311,11 +321,11 @@ func (in *Injector) GlitchWatts() (float64, bool) {
 	if in == nil || in.plan.SampleGlitchProb <= 0 {
 		return 0, false
 	}
-	if !in.rng.Bool(in.plan.SampleGlitchProb) {
+	if !in.daqRNG.Bool(in.plan.SampleGlitchProb) {
 		return 0, false
 	}
 	in.counts.SamplesGlitched++
-	return in.plan.SampleGlitchWatts * (2*in.rng.Float64() - 1), true
+	return in.plan.SampleGlitchWatts * (2*in.daqRNG.Float64() - 1), true
 }
 
 // TimerJitter returns the extra delay for one timer interrupt delivery

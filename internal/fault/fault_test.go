@@ -180,3 +180,61 @@ func TestDefaultsFilled(t *testing.T) {
 		t.Errorf("defaults not filled: %+v", p)
 	}
 }
+
+// TestAcquisitionFaultsIgnoreKernelDraws: the DAQ folds its readings while
+// the run is still making kernel-side fault draws, so the instrument's
+// drop/glitch schedule must not depend on those draws. A plan that adds
+// kernel faults, with their draws interleaved between readings, sees the
+// same acquisition faults as the sample-only plan.
+func TestAcquisitionFaultsIgnoreKernelDraws(t *testing.T) {
+	daqOnly := &Plan{SampleDropProb: 0.2, SampleGlitchProb: 0.2}
+	both := &Plan{SampleDropProb: 0.2, SampleGlitchProb: 0.2,
+		ClockChangeFailProb: 0.3, TimerJitterProb: 0.3, TraceDropProb: 0.3}
+	a, err := NewInjector(daqOnly, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewInjector(both, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		b.ClockChangeFails()
+		b.TimerJitter()
+		if i%3 == 0 {
+			b.DropTraceEvent()
+		}
+		if da, db := a.DropSample(), b.DropSample(); da != db {
+			t.Fatalf("reading %d: drop %v vs %v", i, da, db)
+		}
+		ga, oka := a.GlitchWatts()
+		gb, okb := b.GlitchWatts()
+		if ga != gb || oka != okb {
+			t.Fatalf("reading %d: glitch %v/%v vs %v/%v", i, ga, oka, gb, okb)
+		}
+	}
+	ca, cb := a.Counts(), b.Counts()
+	if ca.SamplesDropped == 0 || ca.SamplesGlitched == 0 || cb.ClockChangeFails == 0 {
+		t.Fatalf("vacuous: %+v / %+v", ca, cb)
+	}
+}
+
+// TestAcquisitionFaultsIndependentOfKernelFaults: the acquisition stream is
+// not a copy of the kernel-side one, so equal probabilities on both sides
+// must not give the i-th reading the i-th clock change's outcome.
+func TestAcquisitionFaultsIndependentOfKernelFaults(t *testing.T) {
+	in, err := NewInjector(&Plan{SampleDropProb: 0.5, ClockChangeFailProb: 0.5}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := 0
+	const n = 200
+	for i := 0; i < n; i++ {
+		if in.DropSample() == in.ClockChangeFails() {
+			same++
+		}
+	}
+	if same == n {
+		t.Error("sample drops replay the clock-change failure draws")
+	}
+}

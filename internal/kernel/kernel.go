@@ -43,15 +43,12 @@ type Config struct {
 	// limitations, we could only capture a subset of the process
 	// behavior." Zero means unbounded; once the cap is reached, further
 	// decisions go unrecorded (scheduling itself is unaffected).
-	// A non-zero cap implies RetainSchedLog.
+	// A non-zero cap keeps the log as RetainAll does.
 	SchedLogCap int
-	// RetainSchedLog keeps the full []SchedEntry record list for
-	// SchedLog(). By default the kernel folds every decision into the
-	// running LogStats digest and discards the record: a long run makes
-	// hundreds of thousands of decisions, and retaining them all was the
-	// single largest allocation of a sweep cell. AnalyzeLog works either
-	// way and reports identical numbers.
-	RetainSchedLog bool
+	// Retain selects which of the kernel's records are kept whole; each
+	// is folded into its running digest either way. The zero value,
+	// RetainTraces, keeps the per-quantum utilization log.
+	Retain Retention
 	// Faults, when non-nil, injects hardware and kernel misbehaviour:
 	// failed clock changes, extended PLL stalls, timer jitter, and
 	// dropped or delayed scheduler-log records. Nil injects nothing and
@@ -85,6 +82,24 @@ func DefaultConfig() Config {
 		SchedOverhead: 6 * sim.Microsecond,
 	}
 }
+
+// Retention selects which of a run's records are kept whole beyond their
+// running digests. Levels are ordered: each keeps what the one below it
+// keeps.
+type Retention int8
+
+const (
+	// RetainDigests keeps only the digests: Quanta, MeanUtil and
+	// AnalyzeLog answer, UtilLog and SchedLog are empty. A long run then
+	// allocates nothing per quantum.
+	RetainDigests Retention = -1
+	// RetainTraces keeps the per-quantum utilization log (UtilLog).
+	RetainTraces Retention = 0
+	// RetainAll also keeps the scheduler activity log (SchedLog). A long
+	// run makes hundreds of thousands of decisions, so the log is kept
+	// only on request; AnalyzeLog reports identical numbers either way.
+	RetainAll Retention = 1
+)
 
 // SchedEntry is one record of the scheduler activity log: which process was
 // scheduled, when (microsecond resolution), and the clock rate at the time.
@@ -144,6 +159,8 @@ type Kernel struct {
 	schedLog      []SchedEntry
 	logStats      logTally
 	utilLog       []UtilSample
+	quanta        int
+	utilSum       int // Σ PP10K over quanta
 	speedChanges  int
 	failedChanges int
 	voltChanges   int
@@ -278,8 +295,21 @@ func (k *Kernel) Recorder() *power.Recorder { return k.rec }
 // SchedLog returns the scheduler activity log.
 func (k *Kernel) SchedLog() []SchedEntry { return k.schedLog }
 
-// UtilLog returns the per-quantum utilization log.
+// UtilLog returns the per-quantum utilization log; it is empty under
+// RetainDigests.
 func (k *Kernel) UtilLog() []UtilSample { return k.utilLog }
+
+// Quanta returns how many scheduling quanta have ended.
+func (k *Kernel) Quanta() int { return k.quanta }
+
+// MeanUtil returns the average per-quantum utilization in [0,1], zero
+// before the first quantum ends.
+func (k *Kernel) MeanUtil() float64 {
+	if k.quanta == 0 {
+		return 0
+	}
+	return float64(k.utilSum) / float64(k.quanta) / 10000
+}
 
 // SpeedChanges returns how many clock-step changes the policy made.
 func (k *Kernel) SpeedChanges() int { return k.speedChanges }
@@ -359,14 +389,14 @@ func (k *Kernel) Run(until sim.Time) error {
 	if k.cfg.EventCap > 0 {
 		k.eng.MaxEvents = k.cfg.EventCap
 	}
-	// Preallocate the utilization log (one sample per quantum, so the
-	// final size is known up front) and hint the power timeline's density
-	// (a handful of mode changes per quantum in the common case).
-	quanta := int((until - k.eng.Now()) / k.cfg.Quantum)
-	if n := quanta + 2; cap(k.utilLog) < n {
-		k.utilLog = make([]UtilSample, len(k.utilLog), n)
+	if k.cfg.Retain >= RetainTraces {
+		// One utilization sample per quantum, so the final size is known
+		// up front.
+		quanta := int((until - k.eng.Now()) / k.cfg.Quantum)
+		if n := quanta + 2; cap(k.utilLog) < n {
+			k.utilLog = make([]UtilSample, len(k.utilLog), n)
+		}
 	}
-	k.rec.Grow(quanta*2 + 16)
 	// Arm the periodic clock interrupt.
 	if _, err := k.eng.At(k.eng.Now()+k.cfg.Quantum, k.tickFn); err != nil {
 		return err
@@ -432,7 +462,7 @@ func (k *Kernel) logDecision(e SchedEntry) {
 	}
 	e.At += k.cfg.Faults.TraceDelay()
 	k.logStats.note(e)
-	if k.cfg.RetainSchedLog || k.cfg.SchedLogCap > 0 {
+	if k.cfg.Retain >= RetainAll || k.cfg.SchedLogCap > 0 {
 		k.schedLog = append(k.schedLog, e)
 	}
 }
@@ -474,7 +504,11 @@ func (k *Kernel) tick(now sim.Time) {
 	if util > 10000 {
 		util = 10000
 	}
-	k.utilLog = append(k.utilLog, UtilSample{At: now, PP10K: util, StepAt: k.step})
+	k.quanta++
+	k.utilSum += util
+	if k.cfg.Retain >= RetainTraces {
+		k.utilLog = append(k.utilLog, UtilSample{At: now, PP10K: util, StepAt: k.step})
+	}
 	k.busyQuantum = 0
 	k.telQuanta.Inc()
 	k.telUtil.Observe(float64(util) / 10000)

@@ -217,7 +217,7 @@ func TestRoundRobinFairness(t *testing.T) {
 
 func TestSchedLogRecordsDecisions(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RetainSchedLog = true
+	cfg.Retain = RetainAll
 	_, k := newKernel(t, cfg)
 	p, _ := k.Spawn(busyLoop{burst: cpu.Burst{Core: 500_000}})
 	if err := k.Run(100 * sim.Millisecond); err != nil {
@@ -239,7 +239,7 @@ func TestSchedLogRecordsDecisions(t *testing.T) {
 
 func TestIdleLogsPIDZero(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RetainSchedLog = true
+	cfg.Retain = RetainAll
 	_, k := newKernel(t, cfg)
 	if err := k.Run(50 * sim.Millisecond); err != nil {
 		t.Fatal(err)

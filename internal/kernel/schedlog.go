@@ -74,7 +74,7 @@ func (t *logTally) note(e SchedEntry) {
 
 // AnalyzeLog digests the kernel's scheduler activity and process table. It
 // is meaningful after Run, and works whether or not the full record list
-// was retained (Config.RetainSchedLog).
+// was retained (Config.Retain RetainAll).
 func (k *Kernel) AnalyzeLog() LogStats {
 	t := &k.logStats
 	st := LogStats{

@@ -7,63 +7,93 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"clocksched/internal/sim"
 )
 
 // Deadline is one timing obligation an application reported: work that was
-// due at Due and actually completed at Done.
+// due at Due and actually completed at Done. Stream and Seq identify it:
+// the obligation's kind ("frame", "audio", "loop", ...) and its index
+// within that stream.
 type Deadline struct {
-	Name string
-	Due  sim.Time
-	Done sim.Time
+	Stream string
+	Seq    int
+	Due    sim.Time
+	Done   sim.Time
 }
+
+// Name formats the deadline's identity for reports, e.g. "frame-42".
+func (d Deadline) Name() string { return d.Stream + "-" + strconv.Itoa(d.Seq) }
 
 // Late returns how far past its due time the work completed (≤ 0 if on
 // time).
 func (d Deadline) Late() sim.Duration { return d.Done - d.Due }
 
-// Collector accumulates deadlines and derived statistics. The zero value is
-// ready to use.
+// Collector folds deadlines into the digests every report reads — the
+// count, each stream's worst lateness, and the positive latenesses — and
+// keeps no per-deadline record, so a long run costs no memory per
+// deadline. The zero value is ready to use.
 type Collector struct {
-	deadlines []Deadline
 	// OnRecord, when set, observes each deadline as it is recorded. The
 	// run harness uses it to feed the watchdog's miss detector without
 	// policies importing this package.
 	OnRecord func(Deadline)
+
+	count int
+	// late holds every positive lateness, in record order: with slack
+	// ≥ 0 they are all MissCount needs.
+	late []sim.Duration
+	// worst is each stream's largest lateness (never below zero), in
+	// first-record order; a run has a handful of streams.
+	worst []streamWorst
 }
 
-// Record notes one completed obligation.
-func (c *Collector) Record(name string, due, done sim.Time) {
-	d := Deadline{Name: name, Due: due, Done: done}
-	c.deadlines = append(c.deadlines, d)
+type streamWorst struct {
+	stream string
+	late   sim.Duration
+}
+
+// Record notes one completed obligation: the seq-th of its stream, due at
+// due and done at done.
+func (c *Collector) Record(stream string, seq int, due, done sim.Time) {
+	d := Deadline{Stream: stream, Seq: seq, Due: due, Done: done}
+	c.count++
+	l := max(d.Late(), 0)
+	if l > 0 {
+		c.late = append(c.late, l)
+	}
+	i := 0
+	for i < len(c.worst) && c.worst[i].stream != stream {
+		i++
+	}
+	if i == len(c.worst) {
+		c.worst = append(c.worst, streamWorst{stream: stream})
+	}
+	if l > c.worst[i].late {
+		c.worst[i].late = l
+	}
 	if c.OnRecord != nil {
 		c.OnRecord(d)
 	}
 }
 
-// Deadlines returns everything recorded.
-func (c *Collector) Deadlines() []Deadline { return c.deadlines }
-
 // Count returns the number of recorded deadlines.
-func (c *Collector) Count() int { return len(c.deadlines) }
+func (c *Collector) Count() int { return c.count }
 
-// Misses returns the obligations that completed more than slack after their
-// due time. The paper's inelastic-constraint assumption corresponds to a
-// small perceptual slack.
-func (c *Collector) Misses(slack sim.Duration) []Deadline {
-	var out []Deadline
-	for _, d := range c.deadlines {
-		if d.Late() > slack {
-			out = append(out, d)
+// MissCount returns how many obligations completed more than slack after
+// their due time. The paper's inelastic-constraint assumption corresponds
+// to a small perceptual slack. Slack must be ≥ 0; a negative slack counts
+// as zero.
+func (c *Collector) MissCount(slack sim.Duration) int {
+	n := 0
+	for _, l := range c.late {
+		if l > slack {
+			n++
 		}
 	}
-	return out
+	return n
 }
-
-// MissCount returns len(Misses(slack)).
-func (c *Collector) MissCount(slack sim.Duration) int { return len(c.Misses(slack)) }
 
 // MaxLateness returns the largest lateness observed (zero if everything was
 // early or nothing was recorded).
@@ -71,17 +101,14 @@ func (c *Collector) MaxLateness() sim.Duration {
 	return c.MaxLatenessFor("")
 }
 
-// MaxLatenessFor returns the largest lateness among deadlines whose name
-// starts with prefix (all deadlines for the empty prefix). Zero if nothing
-// matched or everything was early.
-func (c *Collector) MaxLatenessFor(prefix string) sim.Duration {
+// MaxLatenessFor returns the largest lateness in the named stream (every
+// stream for the empty name). Zero if nothing matched or everything was
+// early.
+func (c *Collector) MaxLatenessFor(stream string) sim.Duration {
 	var max sim.Duration
-	for _, d := range c.deadlines {
-		if !strings.HasPrefix(d.Name, prefix) {
-			continue
-		}
-		if l := d.Late(); l > max {
-			max = l
+	for _, w := range c.worst {
+		if (stream == "" || w.stream == stream) && w.late > max {
+			max = w.late
 		}
 	}
 	return max
@@ -91,9 +118,9 @@ func (c *Collector) MaxLatenessFor(prefix string) sim.Duration {
 // streams — the paper's audio/video synchronization measure: when the video
 // stream runs late while the audio stream stays on schedule, the clip is
 // audibly out of sync.
-func (c *Collector) Desync(prefixA, prefixB string) sim.Duration {
-	a := c.MaxLatenessFor(prefixA)
-	b := c.MaxLatenessFor(prefixB)
+func (c *Collector) Desync(streamA, streamB string) sim.Duration {
+	a := c.MaxLatenessFor(streamA)
+	b := c.MaxLatenessFor(streamB)
 	if a > b {
 		return a - b
 	}
@@ -102,10 +129,10 @@ func (c *Collector) Desync(prefixA, prefixB string) sim.Duration {
 
 // MissRate returns the fraction of deadlines missed by more than slack.
 func (c *Collector) MissRate(slack sim.Duration) float64 {
-	if len(c.deadlines) == 0 {
+	if c.count == 0 {
 		return 0
 	}
-	return float64(c.MissCount(slack)) / float64(len(c.deadlines))
+	return float64(c.MissCount(slack)) / float64(c.count)
 }
 
 // Summary formats the collector for reports.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,9 +28,11 @@ func TestCollectorZeroValue(t *testing.T) {
 
 func TestCollectorMisses(t *testing.T) {
 	var c Collector
-	c.Record("frame-1", 100, 90)  // early
-	c.Record("frame-2", 200, 205) // 5 late
-	c.Record("frame-3", 300, 350) // 50 late
+	var names []string
+	c.OnRecord = func(d Deadline) { names = append(names, d.Name()) }
+	c.Record("frame", 1, 100, 90)  // early
+	c.Record("frame", 2, 200, 205) // 5 late
+	c.Record("frame", 3, 300, 350) // 50 late
 	if c.Count() != 3 {
 		t.Fatalf("Count = %d", c.Count())
 	}
@@ -48,18 +51,14 @@ func TestCollectorMisses(t *testing.T) {
 	if got := c.MissRate(0); got != 2.0/3 {
 		t.Errorf("MissRate = %v", got)
 	}
-	misses := c.Misses(0)
-	if len(misses) != 2 || misses[0].Name != "frame-2" {
-		t.Errorf("Misses = %+v", misses)
-	}
-	if len(c.Deadlines()) != 3 {
-		t.Error("Deadlines() incomplete")
+	if want := []string{"frame-1", "frame-2", "frame-3"}; !slices.Equal(names, want) {
+		t.Errorf("OnRecord saw %v, want %v", names, want)
 	}
 }
 
 func TestCollectorSummary(t *testing.T) {
 	var c Collector
-	c.Record("x", 100, 200)
+	c.Record("x", 1, 100, 200)
 	s := c.Summary(sim.Millisecond)
 	if !strings.Contains(s, "1 deadlines") || !strings.Contains(s, "0 missed") {
 		t.Errorf("Summary = %q", s)
@@ -72,9 +71,9 @@ func TestCollectorSummary(t *testing.T) {
 
 func TestMaxLatenessFor(t *testing.T) {
 	var c Collector
-	c.Record("frame-1", 100, 150) // 50 late
-	c.Record("frame-2", 200, 210) // 10 late
-	c.Record("audio-1", 100, 105) // 5 late
+	c.Record("frame", 1, 100, 150) // 50 late
+	c.Record("frame", 2, 200, 210) // 10 late
+	c.Record("audio", 1, 100, 105) // 5 late
 	if got := c.MaxLatenessFor("frame"); got != 50 {
 		t.Errorf("MaxLatenessFor(frame) = %v, want 50", got)
 	}
@@ -91,8 +90,8 @@ func TestMaxLatenessFor(t *testing.T) {
 
 func TestDesync(t *testing.T) {
 	var c Collector
-	c.Record("frame-1", 100, 180) // 80 late
-	c.Record("audio-1", 100, 110) // 10 late
+	c.Record("frame", 1, 100, 180) // 80 late
+	c.Record("audio", 1, 100, 110) // 10 late
 	if got := c.Desync("frame", "audio"); got != 70 {
 		t.Errorf("Desync = %v, want 70", got)
 	}

@@ -357,3 +357,92 @@ func TestPowerMonotoneInStepProperty(t *testing.T) {
 		}
 	}
 }
+
+// segmentLog is a SegmentSink that keeps what it receives.
+type segmentLog []struct {
+	from, to sim.Time
+	w        float64
+}
+
+func (s *segmentLog) Segment(from, to sim.Time, w float64) {
+	*s = append(*s, struct {
+		from, to sim.Time
+		w        float64
+	}{from, to, w})
+}
+
+// TestRecorderStreamMatchesPoints drives recorders through timelines full
+// of same-instant revisions and collapses — few power levels, many writes
+// per instant — and checks that a streamed recorder hands over exactly the
+// segments of the finished timeline, whether it keeps the points or
+// discards each segment once sent.
+func TestRecorderStreamMatchesPoints(t *testing.T) {
+	m := DefaultModel()
+	levels := []float64{0.1, 0.4, 0.4, 1.2}
+	for trial := 0; trial < 200; trial++ {
+		rng := sim.NewRNG(uint64(trial))
+		ref := NewRecorder(m, activeState())
+		var keptLog, discardLog segmentLog
+		kept := NewRecorder(m, activeState())
+		kept.Stream(&keptLog, true)
+		discard := NewRecorder(m, activeState())
+		discard.Stream(&discardLog, false)
+
+		now := sim.Time(0)
+		for i := 0; i < 60; i++ {
+			if rng.Bool(0.4) {
+				now += sim.Time(1 + rng.Int63n(50)) // else revise this instant
+			}
+			w := levels[rng.Int63n(int64(len(levels)))]
+			for _, r := range []*Recorder{ref, kept, discard} {
+				if err := r.SetWatts(now, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := len(discard.Points()); n > 3 {
+				t.Fatalf("trial %d: discarding recorder holds %d points", trial, n)
+			}
+		}
+		end := now + sim.Time(rng.Int63n(20))
+		for _, r := range []*Recorder{ref, kept, discard} {
+			if err := r.Finish(end); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		var want segmentLog
+		pts := ref.Points()
+		for i, p := range pts {
+			to := end
+			if i+1 < len(pts) {
+				to = pts[i+1].At
+			}
+			want.Segment(p.At, to, p.Watts)
+		}
+		for name, got := range map[string]segmentLog{"kept": keptLog, "discarding": discardLog} {
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: %s recorder streamed %d segments, want %d", trial, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: %s segment %d = %+v, want %+v", trial, name, i, got[i], want[i])
+				}
+			}
+		}
+		if len(kept.Points()) != len(pts) {
+			t.Errorf("trial %d: keeping recorder has %d points, want %d", trial, len(kept.Points()), len(pts))
+		}
+		last := pts[len(pts)-1]
+		if got := discard.Points(); len(got) != 1 || got[0] != last {
+			t.Errorf("trial %d: discarding recorder ends holding %+v, want only %+v", trial, got, last)
+		}
+		if w, err := discard.PowerAt(end); err != nil || w != last.Watts {
+			t.Errorf("trial %d: discarding PowerAt(end) = %v, %v", trial, w, err)
+		}
+		if last.At > 0 {
+			if _, err := discard.PowerAt(0); !errors.Is(err, ErrRange) {
+				t.Errorf("trial %d: PowerAt before the kept tail err = %v, want ErrRange", trial, err)
+			}
+		}
+	}
+}

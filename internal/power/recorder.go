@@ -24,6 +24,21 @@ type Recorder struct {
 	points []TimePoint
 	last   sim.Time // latest time seen; timeline is valid up to here
 	closed bool
+
+	// sink, when set by Stream, receives every segment once it is final;
+	// sent counts the leading points whose segments it has received.
+	sink SegmentSink
+	sent int
+	// discard drops each segment once handed to the sink, so the
+	// recorder holds only the open tail of the timeline.
+	discard bool
+}
+
+// SegmentSink receives a power timeline's segments in time order: the
+// system drew watts over [from, to). Consecutive segments abut, and the
+// first starts at the timeline's first change-point.
+type SegmentSink interface {
+	Segment(from, to sim.Time, watts float64)
 }
 
 // NewRecorder creates a recorder that starts at time 0 in the given state.
@@ -77,17 +92,42 @@ func (r *Recorder) setWatts(now sim.Time, w float64) error {
 		return nil
 	}
 	r.points = append(r.points, TimePoint{At: now, Watts: w})
+	r.flush(len(r.points) - 2)
 	return nil
 }
 
-// Grow ensures capacity for at least n further change-points, so a caller
-// that can estimate a run's timeline density (the kernel: a few changes per
-// quantum) avoids the append-doubling churn of a long run.
-func (r *Recorder) Grow(n int) {
-	if free := cap(r.points) - len(r.points); free < n {
-		pts := make([]TimePoint, len(r.points), len(r.points)+n)
-		copy(pts, r.points)
-		r.points = pts
+// Stream hands the timeline to sink segment by segment as the run
+// produces it, instead of leaving it for a replay of Points after Finish.
+// A segment is final once two later change-points exist: a same-instant
+// revision can rewrite or collapse only the last point, which moves only
+// the end of the segment before it. Finish flushes the rest. With keep
+// false the recorder drops each segment once handed over, so Points,
+// PowerAt and Energy then cover only the open tail of the timeline.
+func (r *Recorder) Stream(sink SegmentSink, keep bool) {
+	r.sink = sink
+	r.discard = !keep
+	r.flush(len(r.points) - 2)
+}
+
+// flush hands the segments of points[sent:upto] to the sink, then drops
+// them when the recorder does not keep the timeline.
+func (r *Recorder) flush(upto int) {
+	if r.sink == nil {
+		return
+	}
+	for ; r.sent < upto; r.sent++ {
+		to := r.last
+		if r.sent+1 < len(r.points) {
+			to = r.points[r.sent+1].At
+		}
+		r.sink.Segment(r.points[r.sent].At, to, r.points[r.sent].Watts)
+	}
+	if r.discard && r.sent > 0 {
+		// Keep the last point even once sent: it draws power up to r.last.
+		drop := min(r.sent, len(r.points)-1)
+		n := copy(r.points, r.points[drop:])
+		r.points = r.points[:n]
+		r.sent -= drop
 	}
 }
 
@@ -99,14 +139,16 @@ func (r *Recorder) Finish(end sim.Time) error {
 	}
 	r.last = end
 	r.closed = true
+	r.flush(len(r.points))
 	return nil
 }
 
 // End returns the latest time covered by the timeline.
 func (r *Recorder) End() sim.Time { return r.last }
 
-// Points returns the recorded change-points. The slice is the recorder's
-// own; callers must not modify it.
+// Points returns the recorded change-points: the whole timeline, or only
+// its open tail when Stream discards. The slice is the recorder's own;
+// callers must not modify it.
 func (r *Recorder) Points() []TimePoint { return r.points }
 
 // ErrRange is returned for queries outside the recorded timeline.
@@ -114,7 +156,7 @@ var ErrRange = errors.New("power: query outside recorded timeline")
 
 // PowerAt returns the instantaneous power at time t.
 func (r *Recorder) PowerAt(t sim.Time) (float64, error) {
-	if t < 0 || t > r.last {
+	if t < r.points[0].At || t > r.last {
 		return 0, ErrRange
 	}
 	// Binary search for the last point with At <= t.
@@ -124,7 +166,7 @@ func (r *Recorder) PowerAt(t sim.Time) (float64, error) {
 
 // Energy integrates power over [from, to] exactly, returning joules.
 func (r *Recorder) Energy(from, to sim.Time) (float64, error) {
-	if from < 0 || to > r.last || from > to {
+	if from < r.points[0].At || to > r.last || from > to {
 		return 0, ErrRange
 	}
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].At > from }) - 1

@@ -27,7 +27,14 @@ import (
 // associative, so totals can differ from sim/3 at ULP scale; run results
 // also now carry the DAQ digest (daq.Summary) instead of the materialized
 // sample array.
-const Version = "clocksched-sim/4"
+//
+// sim/5: the DAQ folds the power timeline into its digest while the run
+// produces it, so the instrument's sample drops and glitches are drawn
+// during the run instead of after it. They now come from their own fault
+// stream rather than continuing the kernel-side fault stream, which
+// changes every run whose fault plan enables sample drops or glitches.
+// Runs without those faults measure exactly what sim/4 measured.
+const Version = "clocksched-sim/5"
 
 // Hasher accumulates named fields into a canonical, order-sensitive
 // encoding and digests them into a content-addressed cache key. Two specs

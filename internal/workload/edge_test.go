@@ -66,12 +66,13 @@ func TestFeedbackIgnoresUnknownEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := recordDeadlines(f)
 	runAt(t, f, cpu.MaxStep, 2*sim.Second)
 	// Exactly one spike deadline among the loop's own records; the unknown
 	// event must contribute nothing.
 	spikes := 0
-	for _, d := range f.Metrics().Deadlines() {
-		if len(d.Name) >= 5 && d.Name[:5] == "spike" {
+	for _, d := range *ds {
+		if d.Stream == "spike" {
 			spikes++
 		}
 	}
@@ -174,14 +175,15 @@ func TestMPEGDropModeShedsFramesWhenSlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := recordDeadlines(m)
 	runAt(t, m, cpu.MinStep, 0)
 	if m.DroppedFrames() == 0 {
 		t.Error("drop-tolerant player dropped nothing at 59MHz")
 	}
 	// Dropped + rendered ≈ total frames.
 	rendered := 0
-	for _, d := range m.Metrics().Deadlines() {
-		if len(d.Name) > 5 && d.Name[:5] == "frame" {
+	for _, d := range *ds {
+		if d.Stream == "frame" {
 			rendered++
 		}
 	}

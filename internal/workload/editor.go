@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"clocksched/internal/cpu"
 	"clocksched/internal/kernel"
 	"clocksched/internal/metrics"
@@ -132,7 +130,8 @@ func (e *TalkingEditor) Install(k *kernel.Kernel) error {
 			case "ui":
 				return response{
 					actions: []kernel.Action{kernel.Compute(editorUIBurst.Scale(float64(ev.Arg) / 10))},
-					name:    fmt.Sprintf("ui-%d", int64(ev.At)/1000),
+					stream:  "ui",
+					seq:     int(ev.At / sim.Millisecond),
 					due:     ev.At + editorUIDeadline,
 				}
 			case "openfile":
@@ -148,8 +147,9 @@ func (e *TalkingEditor) Install(k *kernel.Kernel) error {
 							k.Wake(synthProc)
 						}),
 					},
-					name: fmt.Sprintf("open-%d", passage),
-					due:  ev.At + editorUIDeadline,
+					stream: "open",
+					seq:    passage,
+					due:    ev.At + editorUIDeadline,
 				}
 			default:
 				return response{}
@@ -191,6 +191,8 @@ type dectalk struct {
 	queue []speechJob
 	job   *speechJob
 	chunk int
+	// recorded numbers the speech deadlines across passages.
+	recorded int
 	// synthesizing marks that the current chunk's burst was issued.
 	synthesizing bool
 	playStart    sim.Time
@@ -239,8 +241,9 @@ func (d *dectalk) Next(now sim.Time) kernel.Action {
 		// Chunk synthesized: record its playback deadline.
 		d.synthesizing = false
 		due := d.playStart + sim.Time(d.chunk)*speechChunk
-		d.col.Record(fmt.Sprintf("speech-%d-chunk-%d", d.job.passage, d.chunk), due, now)
+		d.col.Record("speech", d.recorded, due, now)
 		d.chunk++
+		d.recorded++
 	}
 }
 

@@ -43,9 +43,11 @@ type Workload interface {
 // actions have all completed (the user-visible response to the event).
 type response struct {
 	actions []kernel.Action
-	// name/due describe the deadline; an empty name records nothing.
-	name string
-	due  sim.Time
+	// stream/seq/due describe the deadline; an empty stream records
+	// nothing.
+	stream string
+	seq    int
+	due    sim.Time
 }
 
 // eventDriven is a process that sleeps until input events arrive (delivered
@@ -59,8 +61,7 @@ type eventDriven struct {
 	handle  func(now sim.Time, e trace.Event) response
 	pending []trace.Event
 	actions []kernel.Action
-	curName string
-	curDue  sim.Time
+	cur     response
 	inEvent bool
 	done    bool
 }
@@ -75,8 +76,8 @@ func (p *eventDriven) Next(now sim.Time) kernel.Action {
 		}
 		if p.inEvent {
 			p.inEvent = false
-			if p.curName != "" && p.col != nil {
-				p.col.Record(p.curName, p.curDue, now)
+			if p.cur.stream != "" && p.col != nil {
+				p.col.Record(p.cur.stream, p.cur.seq, p.cur.due, now)
 			}
 		}
 		if len(p.pending) == 0 {
@@ -87,9 +88,8 @@ func (p *eventDriven) Next(now sim.Time) kernel.Action {
 		}
 		e := p.pending[0]
 		p.pending = p.pending[1:]
-		r := p.handle(now, e)
-		p.actions = r.actions
-		p.curName, p.curDue = r.name, r.due
+		p.cur = p.handle(now, e)
+		p.actions = p.cur.actions
 		p.inEvent = true
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"clocksched/internal/cpu"
 	"clocksched/internal/kernel"
+	"clocksched/internal/metrics"
 	"clocksched/internal/sim"
 )
 
@@ -29,6 +30,25 @@ func runAt(t *testing.T, w Workload, step cpu.Step, length sim.Duration) *kernel
 		t.Fatal(err)
 	}
 	return k
+}
+
+// recordDeadlines collects every deadline w reports from now on; the
+// collector itself keeps only digests.
+func recordDeadlines(w Workload) *[]metrics.Deadline {
+	var ds []metrics.Deadline
+	w.Metrics().OnRecord = func(d metrics.Deadline) { ds = append(ds, d) }
+	return &ds
+}
+
+// misses returns the deadlines in ds that completed more than slack late.
+func misses(ds []metrics.Deadline, slack sim.Duration) []metrics.Deadline {
+	var out []metrics.Deadline
+	for _, d := range ds {
+		if d.Late() > slack {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // meanUtil returns the average utilization over the run, in [0,1].
@@ -74,16 +94,17 @@ func TestMPEGAtFullSpeedMeetsDeadlines(t *testing.T) {
 	cfg := DefaultMPEGConfig()
 	cfg.Length = 20 * sim.Second
 	m, _ := NewMPEG(cfg)
+	ds := recordDeadlines(m)
 	k := runAt(t, m, cpu.MaxStep, 0)
 
 	if got := m.Metrics().MissCount(frameSlack); got != 0 {
-		t.Errorf("missed %d deadlines at 206.4MHz: %v", got, m.Metrics().Misses(frameSlack)[:min(got, 5)])
+		t.Errorf("missed %d deadlines at 206.4MHz: %v", got, misses(*ds, frameSlack)[:min(got, 5)])
 	}
 	// 15 fps for 20 s: 300 frames (the last may be cut off by the run
 	// end) plus audio chunks.
 	frames := 0
-	for _, d := range m.Metrics().Deadlines() {
-		if len(d.Name) > 5 && d.Name[:5] == "frame" {
+	for _, d := range *ds {
+		if d.Stream == "frame" {
 			frames++
 		}
 	}
@@ -295,16 +316,16 @@ func TestEditorWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := recordDeadlines(e)
 	runAt(t, e, cpu.MaxStep, 0)
 	if got := e.Metrics().MissCount(0); got != 0 {
-		misses := e.Metrics().Misses(0)
 		t.Errorf("missed %d editor deadlines at full speed, first: %+v",
-			got, misses[0])
+			got, misses(*ds, 0)[0])
 	}
 	// Both passages produce speech chunks.
 	chunks := 0
-	for _, d := range e.Metrics().Deadlines() {
-		if len(d.Name) > 6 && d.Name[:6] == "speech" {
+	for _, d := range *ds {
+		if d.Stream == "speech" {
 			chunks++
 		}
 	}
@@ -325,10 +346,10 @@ func TestEditorKeepsUpAt132(t *testing.T) {
 	// The paper's interaction constraint: every application "was able to
 	// run at 132MHz and still meet any user interaction constraints".
 	e, _ := NewTalkingEditor(nil)
+	ds := recordDeadlines(e)
 	runAt(t, e, cpu.Step(5), 0)
 	if got := e.Metrics().MissCount(100 * sim.Millisecond); got != 0 {
-		misses := e.Metrics().Misses(100 * sim.Millisecond)
-		t.Errorf("editor missed %d deadlines at 132.7MHz, first: %+v", got, misses[0])
+		t.Errorf("editor missed %d deadlines at 132.7MHz, first: %+v", got, misses(*ds, 100*sim.Millisecond)[0])
 	}
 }
 
