@@ -131,11 +131,18 @@ func BenchmarkBurstDuration(b *testing.B) {
 // BenchmarkSweepTable2 measures the full Table 2 grid (50 cells of
 // 60-second MPEG) through the public batch API, serially and across the
 // worker pool. The /serial vs /parallel ratio is the sweep engine's
-// speedup on this machine.
+// speedup on this machine. The -telemetry pair attaches a live registry:
+// cells write private instruments and fold them in when they end, so the
+// parallel pass must still beat the serial one; if it does not, workers
+// are contending on shared instruments in the hot loop.
 func BenchmarkSweepTable2(b *testing.B) {
-	run := func(b *testing.B, workers int) {
+	run := func(b *testing.B, workers int, tel bool) {
 		for i := 0; i < b.N; i++ {
-			res, err := Sweep(context.Background(), table2Sweep(workers))
+			cfg := table2Sweep(workers)
+			if tel {
+				cfg.Telemetry = NewTelemetry()
+			}
+			res, err := Sweep(context.Background(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -144,8 +151,10 @@ func BenchmarkSweepTable2(b *testing.B) {
 			}
 		}
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
+	b.Run("serial", func(b *testing.B) { run(b, 1, false) })
+	b.Run("parallel", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0), false) })
+	b.Run("serial-telemetry", func(b *testing.B) { run(b, 1, true) })
+	b.Run("parallel-telemetry", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0), true) })
 }
 
 // BenchmarkSweepCached measures a fully warm cache: every cell served by

@@ -9,33 +9,34 @@ import (
 	"time"
 
 	"clocksched/internal/cpu"
+	"clocksched/internal/kernel"
 	"clocksched/internal/sim"
 	"clocksched/internal/sweep"
 )
 
-// countdownCtx is a context whose deadline "expires" after its Err has been
-// polled n times — a deterministic stand-in for a wall-clock deadline that
-// runs out mid-simulation, since RunContext polls Err at every quantum
-// boundary.
+// countdownCtx is a context whose deadline "fires" when its Done channel is
+// closed by expire — a deterministic stand-in for a wall-clock deadline that
+// runs out mid-simulation. Like a real context, Err stays nil until Done has
+// closed and reports context.DeadlineExceeded from then on.
 type countdownCtx struct {
 	context.Context
-	left atomic.Int64
+	done    chan struct{}
+	expired atomic.Bool
 }
 
-func newCountdownCtx(n int64) *countdownCtx {
-	c := &countdownCtx{Context: context.Background()}
-	c.left.Store(n)
-	return c
+func newCountdownCtx() *countdownCtx {
+	return &countdownCtx{Context: context.Background(), done: make(chan struct{})}
 }
 
-func (c *countdownCtx) Done() <-chan struct{} {
-	// Non-nil so RunContext wires Err into the kernel's cancel hook; never
-	// closed, matching a deadline observed only by polling.
-	return make(chan struct{})
+func (c *countdownCtx) expire() {
+	c.expired.Store(true)
+	close(c.done)
 }
+
+func (c *countdownCtx) Done() <-chan struct{} { return c.done }
 
 func (c *countdownCtx) Err() error {
-	if c.left.Add(-1) < 0 {
+	if c.expired.Load() {
 		return context.DeadlineExceeded
 	}
 	return nil
@@ -43,16 +44,46 @@ func (c *countdownCtx) Err() error {
 
 func (c *countdownCtx) Deadline() (time.Time, bool) { return time.Time{}, true }
 
+// expiringPolicy wraps a policy and expires ctx during its n-th OnQuantum,
+// counting the quanta that run after the expiry.
+type expiringPolicy struct {
+	inner kernel.SpeedPolicy
+	ctx   *countdownCtx
+	n     int
+	seen  int
+	after int
+}
+
+func (p *expiringPolicy) OnQuantum(now sim.Time, util int, s cpu.Step, v cpu.Voltage) (cpu.Step, cpu.Voltage) {
+	p.seen++
+	switch {
+	case p.seen == p.n:
+		p.ctx.expire()
+	case p.seen > p.n:
+		p.after++
+	}
+	return p.inner.OnQuantum(now, util, s, v)
+}
+
+// holdPolicy keeps the current settings.
+type holdPolicy struct{}
+
+func (holdPolicy) OnQuantum(_ sim.Time, _ int, s cpu.Step, v cpu.Voltage) (cpu.Step, cpu.Voltage) {
+	return s, v
+}
+
 // TestRunContextDeadlineStopsAtQuantumBoundary pins the deadline semantics:
 // a context that expires mid-run aborts the simulation at the next quantum
-// boundary — never mid-quantum — and the returned error wraps
-// context.DeadlineExceeded through the kernel's cancellation chain.
+// boundary — never mid-quantum, and at most one quantum after the expiry —
+// and the returned error wraps context.DeadlineExceeded through the
+// kernel's cancellation chain.
 func TestRunContextDeadlineStopsAtQuantumBoundary(t *testing.T) {
-	const surviveTicks = 5
-	ctx := newCountdownCtx(surviveTicks)
+	ctx := newCountdownCtx()
+	pol := &expiringPolicy{inner: holdPolicy{}, ctx: ctx, n: 5}
 	_, err := RunContext(ctx, RunSpec{
 		Workload:    "rect",
 		Duration:    2 * sim.Second,
+		Policy:      pol,
 		InitialStep: cpu.MaxStep,
 	})
 	if err == nil {
@@ -63,6 +94,40 @@ func TestRunContextDeadlineStopsAtQuantumBoundary(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "quantum boundary") {
 		t.Errorf("err %q does not name the quantum-boundary abort point", err)
+	}
+	if pol.after > 1 {
+		t.Errorf("%d quanta ran after the deadline fired, want at most 1", pol.after)
+	}
+}
+
+// errCountCtx counts calls to Err on a live cancellable context.
+type errCountCtx struct {
+	context.Context
+	errs atomic.Int64
+}
+
+func (c *errCountCtx) Err() error {
+	c.errs.Add(1)
+	return c.Context.Err()
+}
+
+// TestRunContextPollsCancelWithoutErr pins the lock-free cancel poll: a
+// context's Err takes its mutex, so a cell must watch Done at its quantum
+// boundaries and read Err only when Done has closed. A 200-quantum cell
+// under a live, never-cancelled context calls Err at most once.
+func TestRunContextPollsCancelWithoutErr(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &errCountCtx{Context: parent}
+	out, err := RunContext(ctx, RunSpec{Workload: "rect", Duration: 2 * sim.Second, InitialStep: cpu.MaxStep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := out.Kernel.Quanta(); q != 200 {
+		t.Fatalf("cell ran %d quanta, want 200", q)
+	}
+	if n := ctx.errs.Load(); n > 1 {
+		t.Errorf("Err called %d times over 200 quanta, want at most 1", n)
 	}
 }
 

@@ -63,7 +63,8 @@ type RunSpec struct {
 	EventCap uint64
 	// Cancel, when non-nil, is polled at every quantum boundary; a
 	// non-nil return aborts the run with that error. RunContext wires a
-	// context's Err here; it is excluded from spec hashing.
+	// lock-free poll of the context's Done channel here; it is excluded
+	// from spec hashing.
 	Cancel func() error
 	// Attempt is the zero-based retry attempt of this cell within a sweep.
 	// It salts only the fault injector's cell-abort stream — attempt 0 is
@@ -165,6 +166,26 @@ func Run(spec RunSpec) (*RunOutcome, error) {
 	return RunContext(context.Background(), spec)
 }
 
+// pollDone returns the quantum-boundary cancel hook for ctx, or nil when ctx
+// can never be cancelled. The hook is a non-blocking receive on ctx.Done():
+// a context's Err takes its mutex, and every worker of a sweep shares one
+// context, so polling Err every quantum would have the workers contend on one
+// lock. Err is read only once the channel has closed, to wrap the cause.
+func pollDone(ctx context.Context) func() error {
+	done := ctx.Done()
+	if done == nil {
+		return nil
+	}
+	return func() error {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+			return nil
+		}
+	}
+}
+
 // RunContext executes one measurement run under a context. Cancellation is
 // observed at quantum boundaries — the simulation's only blocking-free
 // preemption points — so an aborted run stops within one simulated quantum
@@ -176,8 +197,8 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if spec.Cancel == nil && ctx.Done() != nil {
-		spec.Cancel = ctx.Err
+	if spec.Cancel == nil {
+		spec.Cancel = pollDone(ctx)
 	}
 	if spec.Attempt == 0 {
 		spec.Attempt = sweep.AttemptFromContext(ctx)
@@ -220,6 +241,12 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		}
 	}
 
+	// The cell's instruments are its own: the kernel, engine, policy, and
+	// DAQ resolve them from a cell-local child of the shared registry,
+	// which is folded into it once, however the run ends.
+	tel := spec.Telemetry.Cell()
+	defer tel.Fold()
+
 	eng := &sim.Engine{}
 	cfg := kernel.DefaultConfig()
 	cfg.InitialStep = spec.InitialStep
@@ -227,16 +254,16 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	cfg.Policy = pol
 	cfg.Faults = inj
 	cfg.CheckCancel = spec.Cancel
-	cfg.Telemetry = spec.Telemetry
+	cfg.Telemetry = tel
 	cfg.EventCap = spec.EventCap
 	cfg.Retain = spec.Retain
 	if in, ok := pol.(interface {
 		Instrument(*telemetry.Registry)
-	}); ok && spec.Telemetry != nil {
-		in.Instrument(spec.Telemetry)
+	}); ok && tel != nil {
+		in.Instrument(tel)
 	}
-	if spec.Telemetry != nil {
-		spec.Telemetry.Emit("run.start",
+	if tel != nil {
+		tel.Emit("run.start",
 			telemetry.F("workload", spec.Workload),
 			telemetry.F("seed", fmt.Sprint(spec.Seed)))
 	}
@@ -252,7 +279,7 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 	}
 	dcfg := daq.DefaultConfig()
 	dcfg.Faults = inj
-	dcfg.Telemetry = spec.Telemetry
+	dcfg.Telemetry = tel
 	integ, err := daq.NewIntegrator(0, length, dcfg)
 	if err != nil {
 		return nil, err
@@ -284,8 +311,8 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		AvgPowerW: sum.AvgPowerW,
 		MeanUtil:  k.MeanUtil(),
 	}
-	if spec.Telemetry != nil {
-		spec.Telemetry.Emit("run.done",
+	if tel != nil {
+		tel.Emit("run.done",
 			telemetry.F("workload", spec.Workload),
 			telemetry.F("seed", fmt.Sprint(spec.Seed)),
 			telemetry.F("energy_j", fmt.Sprintf("%.4f", out.EnergyJ)))

@@ -283,6 +283,11 @@ func (c *Coordinator) Run(ctx context.Context, spec clocksched.SweepSpec) (*cloc
 		if led != nil {
 			led.Close()
 		}
+		// Every runner has returned, so no peer connection is in use;
+		// left open, each would outlive the Run by the idle timeout.
+		for _, p := range c.peers {
+			p.client.CloseIdleConnections()
+		}
 	}()
 
 	c.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -368,5 +369,34 @@ func TestFabricPeerRestartWithFreshDataDir(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("fabric after peer data loss differs from the serial sweep")
+	}
+}
+
+// TestFabricRunsReleasePeerConnections pins that a Run leaves no keep-alive
+// connection behind: each coordinator builds its own peer clients, so a
+// connection left idle after a Run would pin a socket and three goroutines
+// (the client's reader and writer, the server's conn) per peer per Run.
+// After 20 sequential Runs over two peers the goroutine count must be
+// within a small constant of its count after the first.
+func TestFabricRunsReleasePeerConnections(t *testing.T) {
+	spec := clocksched.NewSweepSpec(fabricGrid(4))
+	peers := []string{startPeer(t, service.Config{Workers: 1}), startPeer(t, service.Config{Workers: 1})}
+	run := func() {
+		runFabric(t, Config{Peers: peers, ShardCells: 2, PollInterval: 5 * time.Millisecond}, spec)
+	}
+	run()
+	base := runtime.NumGoroutine()
+	for i := 1; i < 20; i++ {
+		run()
+	}
+	// Closed connections' goroutines exit asynchronously; give them a
+	// bounded moment before counting.
+	const slack = 8
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base+slack && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base+slack {
+		t.Errorf("%d goroutines after 20 Runs, %d after the first: peer connections leak", n, base)
 	}
 }

@@ -79,7 +79,8 @@ const defaultRequestTimeout = 30 * time.Second
 // defaultTransport builds the client's private transport: bounded dial,
 // TLS handshake, and response-header waits, so no single peer interaction
 // can block longer than its budget. Deliberately not http.Client.Timeout —
-// that would also kill long-lived SSE streams mid-read.
+// that would also kill long-lived SSE streams mid-read. Idle keep-alive
+// connections expire, so a client nobody closes still lets them go.
 func defaultTransport() *http.Transport {
 	return &http.Transport{
 		DialContext: (&net.Dialer{
@@ -90,6 +91,7 @@ func defaultTransport() *http.Transport {
 		ResponseHeaderTimeout: 30 * time.Second,
 		ExpectContinueTimeout: time.Second,
 		MaxIdleConnsPerHost:   4,
+		IdleConnTimeout:       90 * time.Second,
 	}
 }
 
@@ -106,6 +108,12 @@ func (c *Client) http() *http.Client {
 	})
 	return c.httpVal
 }
+
+// CloseIdleConnections closes the keep-alive connections the client's
+// transport holds idle. Call it when done with a client: each idle
+// connection pins a socket, its buffers, and its reader and writer
+// goroutines until the transport's idle timeout.
+func (c *Client) CloseIdleConnections() { c.http().CloseIdleConnections() }
 
 // reqCtx applies the per-request deadline; see Client.RequestTimeout.
 func (c *Client) reqCtx(ctx context.Context) (context.Context, context.CancelFunc) {

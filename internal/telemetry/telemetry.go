@@ -14,8 +14,11 @@
 //	quanta.Inc() // one nil check when telemetry is off
 //
 // — and never guards call sites. All instruments are safe for concurrent
-// use; a single Registry is shared by every worker of a parallel sweep and
-// simply aggregates.
+// use, and a single Registry is shared by every worker of a parallel sweep.
+// Hot paths never write the shared instruments, though: a simulation cell
+// resolves its instruments from a cell-local child (Registry.Cell) and folds
+// the child into the shared registry once, when the cell ends, so parallel
+// workers never contend on one cache line per event or per quantum.
 //
 // Metric names may carry a Prometheus label block, e.g.
 // `sweep_cells_total{result="cached"}`. The registry treats the full string
@@ -25,6 +28,7 @@ package telemetry
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,6 +211,25 @@ func (h *Histogram) Observe(x float64) {
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
+	h.addSum(x)
+}
+
+// merge adds o's observations to h; both must share one bucket layout.
+func (h *Histogram) merge(o *Histogram) {
+	n := o.count.Load()
+	if n == 0 {
+		return
+	}
+	for i := range o.counts {
+		if c := o.counts[i].Load(); c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.count.Add(n)
+	h.addSum(math.Float64frombits(o.sumBits.Load()))
+}
+
+func (h *Histogram) addSum(x float64) {
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + x)
@@ -326,6 +349,10 @@ type Registry struct {
 	spill     *journal.Writer
 	spilled   *Counter
 	spillErrs *Counter
+
+	// parent is set, once, on a cell-local child (Cell); Fold merges the
+	// child's instruments into it and Emit forwards to it.
+	parent *Registry
 }
 
 // New creates an empty registry.
@@ -343,8 +370,15 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	// A cell-local child registers the series on its parent too, so the
+	// parent exposes it from the cell's start.
+	r.parent.Counter(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.counterLocked(name)
+}
+
+func (r *Registry) counterLocked(name string) *Counter {
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -359,8 +393,13 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r.parent.Gauge(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.gaugeLocked(name)
+}
+
+func (r *Registry) gaugeLocked(name string) *Gauge {
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -371,19 +410,72 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns (registering on first use) the named histogram with the
 // given bucket upper bounds, or nil on a nil registry. A name registered
-// earlier keeps its original bounds.
+// earlier keeps its original bounds; on a cell-local child, "earlier"
+// includes the parent, so a fold always adds bucket to bucket.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
+	if p := r.parent.Histogram(name, bounds); p != nil {
+		bounds = p.bounds
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.histogramLocked(name, bounds)
+}
+
+func (r *Registry) histogramLocked(name string, bounds []float64) *Histogram {
 	h, ok := r.hists[name]
 	if !ok {
 		h = newHistogram(bounds)
 		r.hists[name] = h
 	}
 	return h
+}
+
+// Cell returns a cell-local child of r, or nil on a nil registry. The
+// child's instruments are private to one simulation cell, so its hot loop
+// never writes a cache line another worker writes; Fold merges them into r
+// once, when the cell ends. Emit on the child forwards to r immediately, so
+// run events keep their order and wall-clock times.
+func (r *Registry) Cell() *Registry {
+	if r == nil {
+		return nil
+	}
+	c := New()
+	c.parent = r
+	return c
+}
+
+// Fold merges a cell-local child into its parent: counters and histogram
+// buckets, counts and sums add; gauges take the cell's final value, except
+// high-water marks (base name ending "_peak"), which take the maximum. Call
+// it once, after the cell's last write; on a nil or root registry it does
+// nothing.
+func (r *Registry) Fold() {
+	if r == nil || r.parent == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p := r.parent
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for name, c := range r.counters {
+		if v := c.Value(); v != 0 {
+			p.counterLocked(name).Add(v)
+		}
+	}
+	for name, g := range r.gauges {
+		if base, _, _ := strings.Cut(name, "{"); strings.HasSuffix(base, "_peak") {
+			p.gaugeLocked(name).SetMax(g.Value())
+		} else {
+			p.gaugeLocked(name).Set(g.Value())
+		}
+	}
+	for name, h := range r.hists {
+		p.histogramLocked(name, h.bounds).merge(h)
+	}
 }
 
 // Timer returns a wall-clock span timer over the named seconds histogram
@@ -397,9 +489,13 @@ func (r *Registry) Timer(name string) *Timer {
 
 // Emit appends one structured event to the bounded run-event stream. On a
 // nil registry the event is dropped. Once EventCap events are buffered the
-// oldest is overwritten.
+// oldest is overwritten. A cell-local child forwards the event to its parent.
 func (r *Registry) Emit(name string, fields ...Field) {
 	if r == nil {
+		return
+	}
+	if r.parent != nil {
+		r.parent.Emit(name, fields...)
 		return
 	}
 	r.mu.Lock()

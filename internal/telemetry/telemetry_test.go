@@ -296,3 +296,76 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("/debug/pprof/ unexpected:\n%s", body)
 	}
 }
+
+// TestConcurrentCellFold pins the cell-local fold: cells hammer private
+// children concurrently and fold them into one parent, which must then hold
+// exact counter and bucket totals, the maximum of every *_peak gauge, and
+// one cell's final value of every other gauge. Series exist on the parent
+// from the moment a cell resolves them, and events forward at once.
+func TestConcurrentCellFold(t *testing.T) {
+	const cells, per = 8, 2000
+	r := New()
+	var wg sync.WaitGroup
+	for w := 0; w < cells; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cell := r.Cell()
+			defer cell.Fold()
+			c := cell.Counter("shared_total")
+			g := cell.Gauge("depth")
+			peak := cell.Gauge(`busy_peak{pool="a"}`)
+			h := cell.Histogram("util", UtilBuckets)
+			cell.Emit("run.start", F("cell", fmt.Sprint(w)))
+			for i := 0; i < per; i++ {
+				c.Inc()
+				g.Set(7)
+				peak.SetMax(float64(w))
+				h.Observe(0.05)
+			}
+			if len(cell.Events()) != 0 {
+				t.Error("cell buffered an event instead of forwarding it")
+			}
+		}(w)
+	}
+	wg.Wait()
+	if v := r.Counter("shared_total").Value(); v != cells*per {
+		t.Errorf("folded counter = %d, want %d", v, cells*per)
+	}
+	if v := r.Gauge("depth").Value(); v != 7 {
+		t.Errorf("folded gauge = %v, want a cell's final 7", v)
+	}
+	if v := r.Gauge(`busy_peak{pool="a"}`).Value(); v != cells-1 {
+		t.Errorf("folded peak gauge = %v, want the maximum %d", v, cells-1)
+	}
+	h := r.Histogram("util", SecondsBuckets).snapshot()
+	if h.Count != cells*per || h.Counts[0] != cells*per || len(h.Bounds) != len(UtilBuckets) {
+		t.Errorf("folded histogram = %+v, want %d in the first of the cells' buckets", h, cells*per)
+	}
+	if math.Abs(h.Sum-cells*per*0.05) > 1e-9 {
+		t.Errorf("folded histogram sum = %v, want %v", h.Sum, cells*per*0.05)
+	}
+	if n := len(r.Events()); n != cells {
+		t.Errorf("parent ring holds %d events, want %d", n, cells)
+	}
+
+	// A histogram the parent registered first dictates the cell's buckets.
+	p := New()
+	p.Histogram("lat", SecondsBuckets)
+	cell := p.Cell()
+	cell.Histogram("lat", UtilBuckets).Observe(5)
+	cell.Counter("early_total").Inc()
+	if _, ok := p.Snapshot().Counters["early_total"]; !ok {
+		t.Error("parent does not expose a series its cell resolved")
+	}
+	cell.Fold()
+	if s := p.Histogram("lat", nil).snapshot(); s.Counts[len(SecondsBuckets)-1] != 1 {
+		t.Errorf("cell histogram ignored the parent's bounds: %+v", s)
+	}
+
+	var nilReg *Registry
+	if nilReg.Cell() != nil {
+		t.Error("nil registry has a cell")
+	}
+	nilReg.Cell().Fold()
+}

@@ -13,7 +13,10 @@ import (
 // Telemetry is a live metrics registry for the simulator and sweep engine.
 // Attach one to a Config or SweepConfig and every layer underneath — event
 // engine, kernel, policy, DAQ, worker pool, result cache — streams counters,
-// gauges, and latency histograms into it while the run is in flight.
+// gauges, and latency histograms into it while a sweep is in flight. Each
+// cell counts into instruments of its own and folds them in when it ends,
+// so the engine, kernel, policy, and DAQ series move at cell boundaries;
+// run events and the pool and cache series arrive as they happen.
 //
 // Telemetry is purely observational: results are bit-identical with and
 // without it, and a nil *Telemetry disables instrumentation at a cost of one

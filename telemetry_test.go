@@ -5,12 +5,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"clocksched/internal/telemetry"
 )
 
 // A run with no telemetry attached must still publish the deterministic
@@ -320,5 +323,111 @@ func TestTelemetryServeShutdown(t *testing.T) {
 	defer tel.Close()
 	if addr2 == "" {
 		t.Error("re-serve returned empty address")
+	}
+}
+
+// TestTelemetryFoldParallel pins the cell-local instruments: every cell
+// writes a private child registry and folds it into the shared one when it
+// ends, so a 2-worker Table 2 sweep must leave exactly the counters and
+// histogram buckets of the same sweep on one worker (histogram sums to
+// within rounding, since they add in a different order). The adaptive rows
+// run under a watchdog, and its trips and the run events must still reach
+// the shared ring as they happen, in per-cell order.
+func TestTelemetryFoldParallel(t *testing.T) {
+	sweep := func(workers int) *Telemetry {
+		grid := table2Sweep(workers)
+		var cells []Config
+		for _, p := range grid.Policies {
+			for _, seed := range grid.Seeds {
+				c := Config{Workload: MPEG, Policy: p, Seed: seed}
+				if !p.Constant {
+					c.Watchdog = &WatchdogConfig{Window: 32, MaxReversals: 4}
+				}
+				cells = append(cells, c)
+			}
+		}
+		tel := NewTelemetry()
+		if _, err := Sweep(context.Background(), SweepConfig{Cells: cells, Workers: workers, FailFast: true, Telemetry: tel}); err != nil {
+			t.Fatal(err)
+		}
+		return tel
+	}
+	serial, parallel := sweep(1), sweep(2)
+	want, got := serial.Registry().Snapshot(), parallel.Registry().Snapshot()
+
+	if !reflect.DeepEqual(got.Counters, want.Counters) {
+		t.Errorf("counters differ:\n 1 worker:  %v\n 2 workers: %v", want.Counters, got.Counters)
+	}
+	// 50 cells of 60 s at 100 quanta a second.
+	const quanta = 50 * 6000
+	if n := want.Counters[telemetry.MKernelQuanta]; n != quanta {
+		t.Errorf("kernel_quanta_total = %d, want %d", n, quanta)
+	}
+	if n := want.Histograms[telemetry.MKernelQuantumUtil].Count; n != quanta {
+		t.Errorf("kernel_quantum_util count = %d, want %d", n, quanta)
+	}
+	for name, w := range want.Histograms {
+		if strings.HasPrefix(name, "sweep_") {
+			continue // wall-clock latencies of the pool, not of the cells
+		}
+		g := got.Histograms[name]
+		if !reflect.DeepEqual(g.Counts, w.Counts) || g.Count != w.Count {
+			t.Errorf("%s buckets: 1 worker %v, 2 workers %v", name, w.Counts, g.Counts)
+		}
+		if d := math.Abs(g.Sum - w.Sum); d > 1e-9*math.Abs(w.Sum) {
+			t.Errorf("%s sum: 1 worker %v, 2 workers %v", name, w.Sum, g.Sum)
+		}
+	}
+
+	// Walk the shared ring: every run.done closes a cell its run.start
+	// opened, every watchdog event lands while a cell is open, no more cells
+	// are open at once than there are workers, and wall-clock stamps never
+	// go backwards, because Emit forwards as the cell runs.
+	trips := func(s telemetry.Snapshot) int64 {
+		return s.Counters[telemetry.MWatchdogOscillation] + s.Counters[telemetry.MWatchdogPegging] + s.Counters[telemetry.MWatchdogMissStreak]
+	}
+	if trips(want) == 0 {
+		t.Fatal("no watchdog trips in the sweep; the ordering check below would be vacuous")
+	}
+	t.Logf("%d watchdog trips", trips(want))
+	for workers, tel := range map[int]*Telemetry{1: serial, 2: parallel} {
+		events := tel.Registry().Events()
+		open := map[string]int{}
+		nOpen, starts, dones, tripEvents := 0, 0, 0, 0
+		for i, e := range events {
+			if i > 0 && e.Wall.Before(events[i-1].Wall) {
+				t.Errorf("%d workers: event %d (%s) stamped before its predecessor", workers, i, e.Name)
+			}
+			key := fmt.Sprint(e.Fields[:min(len(e.Fields), 2)])
+			switch {
+			case e.Name == "run.start":
+				starts++
+				open[key]++
+				nOpen++
+			case e.Name == "run.done":
+				dones++
+				if open[key] == 0 {
+					t.Errorf("%d workers: run.done %v without an open run.start", workers, e.Fields)
+				}
+				open[key]--
+				nOpen--
+			case strings.HasPrefix(e.Name, "watchdog."):
+				if e.Name == "watchdog.trip" {
+					tripEvents++
+				}
+				if nOpen == 0 {
+					t.Errorf("%d workers: %s outside any cell", workers, e.Name)
+				}
+			}
+			if nOpen > workers {
+				t.Errorf("%d workers: %d cells open at event %d", workers, nOpen, i)
+			}
+		}
+		if starts != 50 || dones != 50 || nOpen != 0 {
+			t.Errorf("%d workers: %d run.start, %d run.done, %d left open; want 50, 50, 0", workers, starts, dones, nOpen)
+		}
+		if int64(tripEvents) != trips(want) {
+			t.Errorf("%d workers: %d watchdog.trip events, counters say %d", workers, tripEvents, trips(want))
+		}
 	}
 }
