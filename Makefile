@@ -110,16 +110,17 @@ fleet-race:
 	$(GO) test -race -count=1 -v ./internal/fleet/
 
 # Worker-count ladder (1/2/4/NumCPU) over the full Table 2 grid, plus
-# fabric legs coordinating 1/2/4 in-process peers, recorded to
-# BENCH_sweep.json (also verifies every merge against the serial
-# baseline).
+# fabric legs coordinating 1/2/4 in-process peers and fleet legs on 1 and
+# NumCPU workers, recorded to BENCH_sweep.json (also verifies every merge
+# against the serial baseline).
 bench-sweep:
 	$(GO) run ./cmd/benchsweep -out BENCH_sweep.json
 
-# Serial-throughput regression guard: reruns the reference grid on one
-# worker and fails if cells/sec drops below half the committed
-# BENCH_sweep.json figure. Rerun `make bench-sweep` to re-baseline after an
-# intentional change.
+# Serial-throughput regression guard: reruns the reference grid and the
+# 500-device fleet leg on one worker and fails if either's cells/sec drops
+# below half its committed BENCH_sweep.json figure (the fleet floor guards
+# per-cell fixed costs, which the long Table 2 cells amortize). Rerun
+# `make bench-sweep` to re-baseline after an intentional change.
 bench-guard:
 	$(GO) run ./cmd/benchsweep -guard -baseline BENCH_sweep.json
 

@@ -14,13 +14,15 @@
 //
 //	benchsweep                     # BENCH_sweep.json, 1/2/4/NumCPU ladder
 //	benchsweep -workers 8 -out BENCH_sweep.json
-//	benchsweep -guard              # serial-only regression check against
-//	                               # the committed BENCH_sweep.json
+//	benchsweep -guard              # serial Table 2 and fleet regression
+//	                               # check against the committed
+//	                               # BENCH_sweep.json
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -121,46 +123,69 @@ func fleetSpec() (fleet.Spec, error) {
 	return spec, nil
 }
 
-// fleetLeg compiles the fleet population once, times it through the fleet
-// engine serially and again at NumCPU workers, verifies the two population
-// summaries are byte-identical, and records devices/sec plus the
-// feasibility-skip rate of the pre-pass.
-func fleetLeg() (run, error) {
+// fleetPlan compiles the fleet leg's population.
+func fleetPlan() (fleet.Spec, *fleet.Plan, error) {
 	spec, err := fleetSpec()
 	if err != nil {
-		return run{}, err
+		return fleet.Spec{}, nil, err
 	}
 	plan, err := spec.Compile()
+	return spec, plan, err
+}
+
+// timeFleet runs plan through the fleet engine on the given number of
+// workers and returns the summary with its wall-clock time. Like
+// timeSerial it runs an untimed warmup pass first.
+func timeFleet(plan *fleet.Plan, workers int) (*fleet.Population, time.Duration, error) {
+	cfg := fleet.RunConfig{Workers: workers}
+	if _, err := fleet.RunPlan(context.Background(), plan, cfg); err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	sum, err := fleet.RunPlan(context.Background(), plan, cfg)
+	return sum, time.Since(start), err
+}
+
+// fleetLegs compiles the fleet population once and times it through the
+// fleet engine serially and at NumCPU workers. It returns one leg for
+// each, recording cells/sec, devices/sec and the feasibility-skip rate of
+// the pre-pass; the NumCPU leg also records its speedup over the serial
+// leg and whether its population summary is byte-identical to it.
+func fleetLegs() ([]run, error) {
+	spec, plan, err := fleetPlan()
 	if err != nil {
-		return run{}, err
+		return nil, err
 	}
 	pairings := spec.Devices * len(spec.Policies)
-
-	start := time.Now()
-	serial, err := fleet.RunPlan(context.Background(), plan, fleet.RunConfig{Workers: 1})
-	legTime := time.Since(start)
+	serial, serialTime, err := timeFleet(plan, 1)
 	if err != nil {
-		return run{}, err
+		return nil, err
 	}
-	par, err := fleet.RunPlan(context.Background(), plan, fleet.RunConfig{Workers: runtime.NumCPU()})
+	par, parTime, err := timeFleet(plan, runtime.NumCPU())
 	if err != nil {
-		return run{}, err
+		return nil, err
 	}
-
-	leg := run{
-		Workers:      1,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		Seconds:      legTime.Seconds(),
-		Identical:    serial.Render() == par.Render(),
-		FleetDevices: spec.Devices,
-		SkipRate:     float64(len(plan.Skips)) / float64(pairings),
+	leg := func(workers int, legTime time.Duration, identical bool) run {
+		r := run{
+			Workers:      workers,
+			GOMAXPROCS:   runtime.GOMAXPROCS(0),
+			NumCPU:       runtime.NumCPU(),
+			Seconds:      legTime.Seconds(),
+			Identical:    identical,
+			FleetDevices: spec.Devices,
+			SkipRate:     float64(len(plan.Skips)) / float64(pairings),
+		}
+		if legTime > 0 {
+			r.CellsPerSec = float64(len(plan.Cells)) / legTime.Seconds()
+			r.DevicesPerSec = float64(spec.Devices) / legTime.Seconds()
+			r.Speedup = serialTime.Seconds() / legTime.Seconds()
+		}
+		return r
 	}
-	if legTime > 0 {
-		leg.CellsPerSec = float64(len(plan.Cells)) / legTime.Seconds()
-		leg.DevicesPerSec = float64(spec.Devices) / legTime.Seconds()
-	}
-	return leg, nil
+	return []run{
+		leg(1, serialTime, true),
+		leg(runtime.NumCPU(), parTime, serial.Render() == par.Render()),
+	}, nil
 }
 
 // run is one timed leg of the ladder.
@@ -233,11 +258,14 @@ func timeSerial() (*clocksched.SweepResult, time.Duration, error) {
 	return res, time.Since(start), err
 }
 
-// guard compares current serial throughput against the committed baseline,
-// failing when it drops below (1 − tolerance) of the recorded figure. It is
-// the `make bench-guard` tier: cheap enough for every check run, loose
-// enough not to trip on machine noise, tight enough to catch a hot-path
-// regression that halves throughput.
+// guard compares current serial throughput against the committed
+// baseline, failing when it drops below (1 − tolerance) of the recorded
+// figure. It guards two cell shapes: the long Table 2 cells, where the
+// simulation hot loop dominates, and the fleet leg's short cells, where
+// per-cell fixed costs (workload set-up, trace install, the pool's
+// hand-off) dominate. It is the `make bench-guard` tier: cheap enough for
+// every check run, loose enough not to trip on machine noise, tight
+// enough to catch a regression that halves throughput.
 func guard(baselinePath string, tolerance float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -255,27 +283,51 @@ func guard(baselinePath string, tolerance float64) error {
 	if want <= 0 {
 		return fmt.Errorf("baseline %s has no serial throughput figure", baselinePath)
 	}
-	res, serialTime, err := timeSerial()
-	if err != nil {
-		return fmt.Errorf("serial grid: %w", err)
+	var wantFleet float64
+	for _, r := range base.Runs {
+		if r.FleetDevices > 0 && r.Workers == 1 {
+			wantFleet = r.CellsPerSec
+		}
 	}
-	got := float64(len(res.Cells)) / serialTime.Seconds()
-	floor := want * (1 - tolerance)
-	status := "ok"
-	if got < floor {
-		status = "REGRESSION"
+	if wantFleet <= 0 {
+		return fmt.Errorf("baseline %s has no serial fleet leg: rerun `make bench-sweep`", baselinePath)
 	}
-	fmt.Printf("bench-guard: serial %.1f cells/s vs baseline %.1f (floor %.1f, tolerance %.0f%%): %s\n",
-		got, want, floor, tolerance*100, status)
 	if base.SimVersion != "" && base.SimVersion != clocksched.SimVersion() {
 		fmt.Printf("bench-guard: note: baseline recorded under %s, current %s\n",
 			base.SimVersion, clocksched.SimVersion())
 	}
-	if got < floor {
-		return fmt.Errorf("serial throughput %.1f cells/s below floor %.1f (baseline %.1f): rerun `make bench-sweep` if intentional",
-			got, floor, want)
+
+	res, serialTime, err := timeSerial()
+	if err != nil {
+		return fmt.Errorf("serial grid: %w", err)
 	}
-	return nil
+	_, plan, err := fleetPlan()
+	if err != nil {
+		return fmt.Errorf("fleet plan: %w", err)
+	}
+	_, fleetTime, err := timeFleet(plan, 1)
+	if err != nil {
+		return fmt.Errorf("serial fleet: %w", err)
+	}
+	var errs []error
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"serial", float64(len(res.Cells)) / serialTime.Seconds(), want},
+		{"serial fleet", float64(len(plan.Cells)) / fleetTime.Seconds(), wantFleet},
+	} {
+		floor := c.want * (1 - tolerance)
+		status := "ok"
+		if c.got < floor {
+			status = "REGRESSION"
+			errs = append(errs, fmt.Errorf("%s throughput %.1f cells/s below floor %.1f (baseline %.1f): rerun `make bench-sweep` if intentional",
+				c.name, c.got, floor, c.want))
+		}
+		fmt.Printf("bench-guard: %s %.1f cells/s vs baseline %.1f (floor %.1f, tolerance %.0f%%): %s\n",
+			c.name, c.got, c.want, floor, tolerance*100, status)
+	}
+	return errors.Join(errs...)
 }
 
 func main() {
@@ -294,9 +346,9 @@ func main() {
 		fabricLegs = flag.Bool("fabric", true,
 			"append distributed-fabric legs (grid sharded across 1/2/4 in-process sweepd peers) to the ladder")
 		fleetLegFlag = flag.Bool("fleet", true,
-			"append a fleet-population leg (500 seeded devices through internal/fleet) recording devices/sec and the feasibility-skip rate")
+			"append fleet-population legs (500 seeded devices through internal/fleet, 1 and NumCPU workers) recording devices/sec, speedup and the feasibility-skip rate")
 		guardMode = flag.Bool("guard", false,
-			"regression-check serial throughput against -baseline instead of recording a ladder")
+			"regression-check serial Table 2 and fleet throughput against -baseline instead of recording a ladder")
 		baseline  = flag.String("baseline", "BENCH_sweep.json", "committed report -guard compares against")
 		tolerance = flag.Float64("tolerance", 0.5,
 			"fraction of baseline serial throughput the -guard run may lose before failing")
@@ -426,15 +478,17 @@ func main() {
 	}
 
 	if *fleetLegFlag {
-		leg, err := fleetLeg()
+		legs, err := fleetLegs()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchsweep: fleet leg:", err)
 			os.Exit(1)
 		}
-		ok = ok && leg.Identical
-		r.Runs = append(r.Runs, leg)
-		fmt.Printf("fleet of %d devices: %.3fs (%.1f devices/s, %.1f cells/s, skip rate %.3f), identical=%v\n",
-			leg.FleetDevices, leg.Seconds, leg.DevicesPerSec, leg.CellsPerSec, leg.SkipRate, leg.Identical)
+		for _, leg := range legs {
+			ok = ok && leg.Identical
+			r.Runs = append(r.Runs, leg)
+			fmt.Printf("fleet of %d devices, %d workers: %.3fs (%.1f devices/s, %.1f cells/s, %.2fx, skip rate %.3f), identical=%v\n",
+				leg.FleetDevices, leg.Workers, leg.Seconds, leg.DevicesPerSec, leg.CellsPerSec, leg.Speedup, leg.SkipRate, leg.Identical)
+		}
 	}
 
 	b, err := json.MarshalIndent(r, "", "  ")

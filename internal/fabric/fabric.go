@@ -540,7 +540,7 @@ var errAlreadyDone = errors.New("fabric: shard already committed")
 // result wins; a later duplicate with identical bytes is discarded, and a
 // duplicate with different bytes is a determinism violation that fails
 // the whole sweep.
-func (c *Coordinator) commit(s *shardState, b []byte, by string) error {
+func (c *Coordinator) commit(s *shardState, b []byte) error {
 	res, err := c.verifyShard(s, b)
 	if err != nil {
 		return err
@@ -584,7 +584,6 @@ func (c *Coordinator) commit(s *shardState, b []byte, by string) error {
 	}
 	c.mu.Unlock()
 	c.report(done, total)
-	_ = by
 	return nil
 }
 
@@ -936,7 +935,7 @@ func (c *Coordinator) finishLease(ctx context.Context, p *peerState, s *shardSta
 		c.peerFailure(p, s, retryAfter(err))
 		return
 	}
-	if err := c.commit(s, b, p.base); err != nil && !errors.Is(err, errAlreadyDone) {
+	if err := c.commit(s, b); err != nil && !errors.Is(err, errAlreadyDone) {
 		// Bad bytes (failed verification) count as a peer failure; a
 		// determinism violation has already failed the run inside commit.
 		var apiErr *service.APIError
@@ -1068,7 +1067,7 @@ func (c *Coordinator) attemptLocal(ctx context.Context, s *shardState) {
 		return
 	}
 	c.reg.Counter(mLocalRuns).Inc()
-	if err := c.commit(s, b, localName); err != nil && !errors.Is(err, errAlreadyDone) {
+	if err := c.commit(s, b); err != nil && !errors.Is(err, errAlreadyDone) {
 		var apiErr *service.APIError
 		if !errors.As(err, &apiErr) {
 			c.fail(&service.APIError{Status: 500, Code: service.CodeInternal,

@@ -14,13 +14,25 @@ type Event func(now Time)
 // events at the same instant fire in the order they were scheduled,
 // keeping runs deterministic. Nodes are recycled through the engine's free
 // list once fired or cancelled; gen counts recycles so a stale Handle can
-// never cancel the node's next occupant.
+// never cancel the node's next occupant. A node with rep set stands for
+// the next event of a replayed stream instead of carrying fn.
 type scheduled struct {
 	at    Time
 	seq   uint64
 	gen   uint64
 	fn    Event
+	rep   *replay
 	index int // heap index; -1 once popped or cancelled
+}
+
+// replay is the cursor of one stream installed by Engine.Replay: the
+// stream's events hold the reserved sequence numbers base … base+n-1, and
+// next is the index of the one event currently queued.
+type replay struct {
+	at      func(i int) Time
+	fire    func(i int, now Time)
+	base    uint64
+	next, n int
 }
 
 // eventQueue is a min-heap ordered by (at, seq), maintained by hand (no
@@ -170,8 +182,23 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // At. The generation bump invalidates every Handle still pointing at it.
 func (e *Engine) recycle(s *scheduled) {
 	s.gen++
-	s.fn = nil
+	s.fn, s.rep = nil, nil
 	e.free = append(e.free, s)
+}
+
+// node takes a node from the free list, or allocates one, set to time t
+// and sequence number seq.
+func (e *Engine) node(t Time, seq uint64) *scheduled {
+	var s *scheduled
+	if n := len(e.free); n > 0 {
+		s = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		s.at, s.seq = t, seq
+	} else {
+		s = &scheduled{at: t, seq: seq}
+	}
+	return s
 }
 
 // At schedules fn to fire at absolute time t. Scheduling at the current time
@@ -183,19 +210,65 @@ func (e *Engine) At(t Time, fn Event) (Handle, error) {
 	if fn == nil {
 		return Handle{}, errors.New("sim: nil event")
 	}
-	var s *scheduled
-	if n := len(e.free); n > 0 {
-		s = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		s.at, s.seq, s.fn = t, e.seq, fn
-	} else {
-		s = &scheduled{at: t, seq: e.seq, fn: fn}
-	}
+	s := e.node(t, e.seq)
+	s.fn = fn
 	e.seq++
 	e.queue.push(s)
 	e.telDepth.Set(float64(len(e.queue)))
 	return Handle{e: s, gen: s.gen}, nil
+}
+
+// Replay installs a recorded stream of n events: event i fires at at(i)
+// by calling fire(i, now). It reserves n sequence numbers now, so the
+// stream interleaves with every other event exactly as n At calls made
+// here would, but only the stream's next event is ever queued — a long
+// trace replayed into a short run costs one queue node, not one per
+// event. Times must be nondecreasing in i. A first event before Now is
+// refused with ErrPast; a later event before its predecessor fails the
+// run with ErrPast when the stream reaches it. Replayed events cannot be
+// cancelled.
+func (e *Engine) Replay(n int, at func(i int) Time, fire func(i int, now Time)) error {
+	if n < 0 {
+		return fmt.Errorf("sim: Replay of %d events", n)
+	}
+	if at == nil || fire == nil {
+		return errors.New("sim: nil replay function")
+	}
+	if n == 0 {
+		return nil
+	}
+	t := at(0)
+	if t < e.now {
+		return fmt.Errorf("%w: replayed event 0 at %v, now %v", ErrPast, t, e.now)
+	}
+	s := e.node(t, e.seq)
+	s.rep = &replay{at: at, fire: fire, base: e.seq, n: n}
+	e.seq += uint64(n)
+	e.queue.push(s)
+	e.telDepth.Set(float64(len(e.queue)))
+	return nil
+}
+
+// advance re-queues a replay node for its stream's next event under that
+// event's reserved sequence number, or recycles the node once the stream
+// is spent. Called with the node just popped, before its event fires, so
+// a halt inside the event leaves the stream's remainder queued.
+func (e *Engine) advance(s *scheduled) {
+	r := s.rep
+	r.next++
+	if r.next == r.n {
+		e.recycle(s)
+		return
+	}
+	t := r.at(r.next)
+	if t < s.at {
+		e.Fail(fmt.Errorf("%w: replayed event %d at %v, before its predecessor at %v",
+			ErrPast, r.next, t, s.at))
+		e.recycle(s)
+		return
+	}
+	s.at, s.seq = t, r.base+uint64(r.next)
+	e.queue.push(s)
 }
 
 // After schedules fn to fire d microseconds from now. A non-positive delay
@@ -256,6 +329,13 @@ func (e *Engine) Step() bool {
 	e.now = s.at
 	e.fired++
 	e.telFired.Inc()
+	if r := s.rep; r != nil {
+		i := r.next
+		e.advance(s)
+		e.telDepth.Set(float64(len(e.queue)))
+		r.fire(i, e.now)
+		return true
+	}
 	e.telDepth.Set(float64(len(e.queue)))
 	fn := s.fn
 	// Recycle before firing: fn may schedule new events, and the bumped
@@ -288,27 +368,4 @@ func (e *Engine) RunUntil(end Time) error {
 		e.now = end
 	}
 	return e.err
-}
-
-// Every schedules fn to fire now+period, now+2·period, … until either fn
-// returns false or the engine halts. It returns an error if period is not
-// positive.
-func (e *Engine) Every(period Duration, fn func(now Time) bool) error {
-	if period <= 0 {
-		return fmt.Errorf("sim: Every with non-positive period %v", period)
-	}
-	var tick Event
-	tick = func(now Time) {
-		if !fn(now) {
-			return
-		}
-		// Re-arm. Scheduling from inside an event cannot fail — now+period
-		// is strictly in the future — but surface any failure rather than
-		// assuming.
-		if _, err := e.At(now+period, tick); err != nil {
-			e.Fail(err)
-		}
-	}
-	_, err := e.After(period, tick)
-	return err
 }

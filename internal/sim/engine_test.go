@@ -192,35 +192,6 @@ func TestEngineHalt(t *testing.T) {
 	}
 }
 
-func TestEngineEvery(t *testing.T) {
-	var e Engine
-	var times []Time
-	e.Every(10, func(now Time) bool {
-		times = append(times, now)
-		return now < 50
-	})
-	e.Run()
-	want := []Time{10, 20, 30, 40, 50}
-	if len(times) != len(want) {
-		t.Fatalf("Every fired at %v, want %v", times, want)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("Every fired at %v, want %v", times, want)
-		}
-	}
-}
-
-func TestEngineEveryRejectsBadPeriod(t *testing.T) {
-	var e Engine
-	if err := e.Every(0, func(Time) bool { return false }); err == nil {
-		t.Fatal("Every(0) succeeded, want error")
-	}
-	if err := e.Every(-5, func(Time) bool { return false }); err == nil {
-		t.Fatal("Every(-5) succeeded, want error")
-	}
-}
-
 func TestEngineFailHaltsAndKeepsFirstError(t *testing.T) {
 	var e Engine
 	first := errors.New("first failure")
@@ -388,27 +359,5 @@ func TestEngineFiredCounter(t *testing.T) {
 	e.Run()
 	if e.Fired() != 5 {
 		t.Errorf("Fired = %d, want 5", e.Fired())
-	}
-}
-
-func TestEngineEveryStopsOnHalt(t *testing.T) {
-	var e Engine
-	count := 0
-	e.Every(10, func(Time) bool {
-		count++
-		if count == 3 {
-			e.Halt()
-		}
-		return true
-	})
-	e.Run()
-	halted := count
-	if halted != 3 {
-		t.Fatalf("halt let %d ticks fire", halted)
-	}
-	// The periodic event is still queued; resuming continues the series.
-	e.RunUntil(100)
-	if count <= halted {
-		t.Error("Every did not resume after halt")
 	}
 }

@@ -199,27 +199,29 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 		}
 	}
 
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for i := range jobs {
-			if skip[i] {
-				continue
-			}
-			select {
-			case idx <- i:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
+	// Workers claim grid indices from one atomic counter, checking for
+	// cancellation before each claim: a cancelled or FailFast-aborted
+	// sweep stops handing out cells at once, and the cells nobody claimed
+	// end ErrSkipped below.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for {
+				select {
+				case <-runCtx.Done():
+					return
+				default:
+				}
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
+				}
+				if skip[i] {
+					continue
+				}
 				b := busy.Add(1)
 				telBusy.Set(float64(b))
 				telPeak.SetMax(float64(b))

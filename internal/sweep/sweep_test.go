@@ -149,6 +149,96 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
+// TestSweepClaimsEachCellOnce checks the workers' atomic claim: every
+// cell runs exactly once however the workers race for indices, and a
+// cancelled sweep stops claiming, leaving each unclaimed cell ErrSkipped.
+func TestSweepClaimsEachCellOnce(t *testing.T) {
+	const n, workers = 5000, 8
+	t.Run("all", func(t *testing.T) {
+		runs := make([]atomic.Int32, n)
+		jobs := make([]Job, n)
+		for i := range jobs {
+			jobs[i] = Job{Run: func(context.Context) (any, error) {
+				runs[i].Add(1)
+				return nil, nil
+			}}
+		}
+		var mu sync.Mutex
+		seen := map[int]bool{}
+		last := 0
+		var stats PoolStats
+		_, err := Run(context.Background(), jobs, Options{
+			Workers: workers,
+			Stats:   &stats,
+			OnProgress: func(done, total int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if seen[done] {
+					t.Errorf("done count %d reported twice", done)
+				}
+				seen[done] = true
+				last = max(last, done)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("cell %d ran %d times", i, got)
+			}
+		}
+		if len(seen) != n || last != n {
+			t.Fatalf("%d distinct done counts, highest %d, want %d and %d", len(seen), last, n, n)
+		}
+		if stats.Ran != n || stats.Skipped != 0 || stats.Workers != workers {
+			t.Fatalf("stats = %+v", stats)
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var started atomic.Int32
+		jobs := make([]Job, n)
+		for i := range jobs {
+			jobs[i] = Job{Run: func(context.Context) (any, error) {
+				if started.Add(1) == 100 {
+					cancel()
+				}
+				return nil, nil
+			}}
+		}
+		var stats PoolStats
+		outs, err := Run(ctx, jobs, Options{Workers: workers, Stats: &stats})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		ran := int(started.Load())
+		skipped, aborted := 0, 0
+		for i, o := range outs {
+			switch {
+			case errors.Is(o.Err, ErrSkipped):
+				skipped++
+			case errors.Is(o.Err, context.Canceled):
+				// Claimed just as the cancel landed: the runner refuses
+				// to start it.
+				aborted++
+			case o.Err != nil:
+				t.Fatalf("cell %d: %v", i, o.Err)
+			}
+		}
+		// After the cancel each worker finishes the cell it holds and may
+		// win one claim it checked for before the cancel landed.
+		claimed := n - skipped
+		if ran < 100 || claimed != ran+aborted || claimed > 100+2*workers {
+			t.Fatalf("cancel at 100: %d cells ran, %d aborted, %d claimed", ran, aborted, claimed)
+		}
+		if stats.Skipped != skipped || stats.Ran != ran {
+			t.Fatalf("%d ran, %d ErrSkipped, stats %+v", ran, skipped, stats)
+		}
+	})
+}
+
 func TestRunProgress(t *testing.T) {
 	// Callbacks may run concurrently and out of order, but each done count
 	// must be reported exactly once with the right total.

@@ -103,21 +103,15 @@ func (p *eventDriven) deliver(k *kernel.Kernel, proc *kernel.Process, e trace.Ev
 	k.Wake(proc)
 }
 
-// installTrace schedules every event of tr to be delivered to p at its
-// recorded time, reproducing the paper's millisecond-accurate replay.
+// installTrace replays tr into p, delivering each event at its recorded
+// time, reproducing the paper's millisecond-accurate replay. The trace is
+// validated by its constructor; the engine keeps only its next event
+// queued, so a short run over a long session pays for the events it
+// reaches.
 func installTrace(k *kernel.Kernel, p *eventDriven, proc *kernel.Process, tr *trace.Trace) error {
-	if err := tr.Validate(); err != nil {
-		return err
-	}
-	for _, e := range tr.Events {
-		e := e
-		if _, err := k.Engine().At(e.At, func(sim.Time) {
-			p.deliver(k, proc, e)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return k.Engine().Replay(len(tr.Events),
+		func(i int) sim.Time { return tr.Events[i].At },
+		func(i int, _ sim.Time) { p.deliver(k, proc, tr.Events[i]) })
 }
 
 // errReinstall is returned when Install is called twice.

@@ -377,10 +377,14 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 	jobs := make([]sweep.Job, len(cells))
 	for i, c := range cells {
 		c := c
-		// The cache key is computed before the telemetry registry is
-		// attached and hashes named fields only, so instrumentation can
-		// never split the cache.
-		key := cacheKey(c)
+		// Only a cached sweep keys its cells (Journal requires Cache), so
+		// an uncached grid never pays for the hash. The key is computed
+		// before the telemetry registry is attached and hashes named
+		// fields only, so instrumentation can never split the cache.
+		var key string
+		if cfg.Cache != nil {
+			key = cacheKey(c)
+		}
 		if c.Telemetry == nil {
 			c.Telemetry = cfg.Telemetry
 		}
