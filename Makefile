@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: build bench-build test check fmt vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-sweep bench-guard
+.PHONY: build bench-build test check fmt vet race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-sweep bench-guard loc
 
 build:
 	$(GO) build ./...
@@ -123,6 +123,13 @@ bench-sweep:
 # `make bench-sweep` to re-baseline after an intentional change.
 bench-guard:
 	$(GO) run ./cmd/benchsweep -guard -baseline BENCH_sweep.json
+
+# Go line counts as ROADMAP tracks them: production and test files apart,
+# the perfbench module and benchmark build outputs left out. Not in check.
+LOC_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@echo "production $$($(LOC_FILES) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test       $$($(LOC_FILES) -name '*_test.go' | xargs cat | wc -l)"
 
 check: fmt vet bench-build race fuzz-smoke stress sweep-race telemetry-race durability-race oracle-race service-race chaos-race fabric-race fleet-race bench-guard
 	@echo "check: all tiers passed"

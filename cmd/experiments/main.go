@@ -183,7 +183,7 @@ func run(outDir, only *string, seed *uint64, workers *int, nocache, resume *bool
 			res.Journal = filepath.Join(*outDir, "sweep.wal")
 			res.Resume = *resume
 			if *resume {
-				jr, err := sweep.OpenCellJournal(res.Journal, true)
+				jr, err := sweep.OpenCellJournal(res.Journal, true, nil)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "experiments: journal:", err)
 					return 1

@@ -233,7 +233,7 @@ func TestSampleDropsHoldPreviousReading(t *testing.T) {
 	r.Finish(sim.Second)
 
 	cfg := DefaultConfig()
-	in, err := fault.NewInjector(&fault.Plan{SampleDropProb: 0.2}, 11)
+	in, err := fault.NewInjector(&fault.Plan{SampleDropProb: 0.2}, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestSampleDropsHoldPreviousReading(t *testing.T) {
 func TestSampleGlitchesStayClipped(t *testing.T) {
 	rec := constantRecorder(7.9, sim.Second) // near full scale
 	cfg := DefaultConfig()
-	in, err := fault.NewInjector(&fault.Plan{SampleGlitchProb: 1, SampleGlitchWatts: 1.0}, 4)
+	in, err := fault.NewInjector(&fault.Plan{SampleGlitchProb: 1, SampleGlitchWatts: 1.0}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestSampleFaultsDeterministic(t *testing.T) {
 	rec := constantRecorder(2.0, sim.Second)
 	run := func() []float64 {
 		cfg := DefaultConfig()
-		in, err := fault.NewInjector(&fault.Plan{SampleDropProb: 0.1, SampleGlitchProb: 0.1}, 21)
+		in, err := fault.NewInjector(&fault.Plan{SampleDropProb: 0.1, SampleGlitchProb: 0.1}, 21, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

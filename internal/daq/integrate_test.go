@@ -98,11 +98,11 @@ func TestIntegrateMatchesSampleWithFaults(t *testing.T) {
 		rec := randomRecorder(rng, 1+rng.Intn(20), end)
 		seed := rng.Uint64()
 
-		injA, err := fault.NewInjector(plan, seed)
+		injA, err := fault.NewInjector(plan, seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		injB, err := fault.NewInjector(plan, seed)
+		injB, err := fault.NewInjector(plan, seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,11 +164,11 @@ func TestIntegratorStreamMatchesReplay(t *testing.T) {
 		end := sim.Time(10_000 + rng.Int63n(int64(sim.Second)))
 		start := sim.Time(rng.Int63n(int64(end) / 2))
 
-		injA, err := fault.NewInjector(plan, seed)
+		injA, err := fault.NewInjector(plan, seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		injB, err := fault.NewInjector(plan, seed)
+		injB, err := fault.NewInjector(plan, seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -216,7 +216,7 @@ func RunContext(ctx context.Context, spec RunSpec) (*RunOutcome, error) {
 		length = w.Duration()
 	}
 
-	inj, err := fault.NewInjectorAttempt(spec.Faults, spec.Seed, spec.Attempt)
+	inj, err := fault.NewInjector(spec.Faults, spec.Seed, spec.Attempt)
 	if err != nil {
 		return nil, err
 	}

@@ -48,9 +48,6 @@ type Config struct {
 	// Transport, when non-nil, is threaded under every peer client — the
 	// chaos suite's fault.NetInjector seam.
 	Transport http.RoundTripper
-	// NewClient, when non-nil, overrides peer-client construction
-	// entirely (tests inject per-peer transports).
-	NewClient func(base string) *service.Client
 
 	// Dir roots the coordinator's durable state: the lease ledger
 	// (fabric.wal), committed shard results (shard-<i>.bin), and local
@@ -212,9 +209,6 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 func (c *Coordinator) newClient(base string) *service.Client {
-	if c.cfg.NewClient != nil {
-		return c.cfg.NewClient(base)
-	}
 	return &service.Client{
 		Base:           base,
 		Token:          c.cfg.Token,
@@ -360,7 +354,7 @@ func (c *Coordinator) plan(spec clocksched.SweepSpec, total int) error {
 	}
 
 	var recs []Record
-	w, _, err := journal.OpenFS(c.ledgerPath(), true, func(p []byte) error {
+	w, _, err := journal.Open(c.ledgerPath(), true, func(p []byte) error {
 		rec, derr := DecodeShardPlan(p)
 		if derr != nil {
 			// A CRC-valid but semantically bad record means a ledger from
@@ -386,7 +380,7 @@ func (c *Coordinator) plan(spec clocksched.SweepSpec, total int) error {
 		// only a done record makes one load-bearing.
 		w.Close()
 		recs = nil
-		w, _, err = journal.OpenFS(c.ledgerPath(), false, nil, c.cfg.FS)
+		w, _, err = journal.Open(c.ledgerPath(), false, nil, c.cfg.FS)
 		if err == nil {
 			err = c.appendRecord(w, Record{Op: opPlan, Plan: &ShardPlan{
 				SpecSHA: sha, Total: total, ShardCells: stride,
@@ -561,7 +555,7 @@ func (c *Coordinator) commit(s *shardState, b []byte) error {
 		c.reg.Counter(mDuplicates).Inc()
 		return errAlreadyDone
 	}
-	if err := writeFileAtomic(c.shardBinPath(s.index), b, c.cfg.FS); err != nil {
+	if err := journal.WriteFile(c.shardBinPath(s.index), b, c.cfg.FS); err != nil {
 		c.mu.Unlock()
 		return fmt.Errorf("fabric: storing shard %d: %w", s.index, err)
 	}
@@ -585,39 +579,6 @@ func (c *Coordinator) commit(s *shardState, b []byte) error {
 	c.mu.Unlock()
 	c.report(done, total)
 	return nil
-}
-
-// writeFileAtomic mirrors the service's durable result write: temp file,
-// fsync, rename, all through the injectable surface.
-func writeFileAtomic(path string, b []byte, fs journal.FS) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	var werr error
-	if fs == nil {
-		_, werr = tmp.Write(b)
-	} else {
-		_, werr = fs.Write(tmp, b)
-	}
-	if werr == nil {
-		if fs == nil {
-			werr = tmp.Sync()
-		} else {
-			werr = fs.Sync(tmp)
-		}
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	if fs == nil {
-		return os.Rename(tmp.Name(), path)
-	}
-	return fs.Rename(tmp.Name(), path)
 }
 
 // stop reports whether the runners should exit, under c.mu.

@@ -326,7 +326,7 @@ func TestFabricPeerRestartWithFreshDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := journal.OpenFS(filepath.Join(dir, "fabric.wal"), false, nil, nil)
+	w, _, err := journal.Open(filepath.Join(dir, "fabric.wal"), false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,20 +227,14 @@ type Injector struct {
 	counts   Counts
 }
 
-// NewInjector builds an injector for the plan under the given run seed. A
-// nil or all-zero plan yields a nil injector (inject nothing), so callers
-// can thread the result unconditionally. Equivalent to NewInjectorAttempt
-// with attempt 0.
-func NewInjector(p *Plan, seed uint64) (*Injector, error) {
-	return NewInjectorAttempt(p, seed, 0)
-}
-
-// NewInjectorAttempt builds an injector for a numbered retry attempt of the
-// same cell. All measurement-degrading faults stay identical across
+// NewInjector builds an injector for the plan under the given run seed and
+// zero-based retry attempt of the same cell. A nil or all-zero plan yields
+// a nil injector (inject nothing), so callers can thread the result
+// unconditionally. All measurement-degrading faults stay identical across
 // attempts (same seed, same Stream), preserving bit-identical replays; only
 // the cell-abort schedule is re-drawn per attempt, so a retried cell can
 // survive where the previous attempt died.
-func NewInjectorAttempt(p *Plan, seed uint64, attempt int) (*Injector, error) {
+func NewInjector(p *Plan, seed uint64, attempt int) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestNilAndZeroPlansAreInert(t *testing.T) {
 	for _, p := range []*Plan{nil, {}} {
-		in, err := NewInjector(p, 42)
+		in, err := NewInjector(p, 42, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestPlanValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad plan %d validated: %+v", i, p)
 		}
-		if _, err := NewInjector(&p, 1); err == nil {
+		if _, err := NewInjector(&p, 1, 0); err == nil {
 			t.Errorf("NewInjector accepted bad plan %d", i)
 		}
 	}
@@ -92,7 +92,7 @@ func TestInjectorDeterministicPerSeed(t *testing.T) {
 		TraceDelayProb:      0.2,
 	}
 	mk := func(seed uint64) *Injector {
-		in, err := NewInjector(plan, seed)
+		in, err := NewInjector(plan, seed, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestInjectorRespectsBounds(t *testing.T) {
 		TraceDelayProb:  1,
 		TraceDelayMax:   sim.Millisecond,
 	}
-	in, err := NewInjector(plan, 3)
+	in, err := NewInjector(plan, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestInjectorRespectsBounds(t *testing.T) {
 
 func TestGlitchAmplitudeBounded(t *testing.T) {
 	plan := &Plan{SampleGlitchProb: 1, SampleGlitchWatts: 0.25}
-	in, err := NewInjector(plan, 9)
+	in, err := NewInjector(plan, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestGlitchAmplitudeBounded(t *testing.T) {
 }
 
 func TestDefaultsFilled(t *testing.T) {
-	in, err := NewInjector(&Plan{SettleStallProb: 0.5}, 1)
+	in, err := NewInjector(&Plan{SettleStallProb: 0.5}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestAcquisitionFaultsIgnoreKernelDraws(t *testing.T) {
 	daqOnly := &Plan{SampleDropProb: 0.2, SampleGlitchProb: 0.2}
 	both := &Plan{SampleDropProb: 0.2, SampleGlitchProb: 0.2,
 		ClockChangeFailProb: 0.3, TimerJitterProb: 0.3, TraceDropProb: 0.3}
-	a, err := NewInjector(daqOnly, 9)
+	a, err := NewInjector(daqOnly, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewInjector(both, 9)
+	b, err := NewInjector(both, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestAcquisitionFaultsIgnoreKernelDraws(t *testing.T) {
 // not a copy of the kernel-side one, so equal probabilities on both sides
 // must not give the i-th reading the i-th clock change's outcome.
 func TestAcquisitionFaultsIndependentOfKernelFaults(t *testing.T) {
-	in, err := NewInjector(&Plan{SampleDropProb: 0.5, ClockChangeFailProb: 0.5}, 9)
+	in, err := NewInjector(&Plan{SampleDropProb: 0.5, ClockChangeFailProb: 0.5}, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

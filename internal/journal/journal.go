@@ -9,6 +9,10 @@
 // The payload is opaque bytes: the sweep layer stores JSON cell-commit
 // records, the telemetry layer stores JSON run events. The framing layer
 // guarantees only integrity and ordering.
+//
+// The package also owns the crash-safe whole-file replace: WriteFile (the
+// service's result files, the fabric's shard files) and Rewrite (journal
+// compaction) share one temp-file, fsync, rename, directory-sync path.
 package journal
 
 import (
@@ -128,9 +132,9 @@ func ReplayFile(path string, fn func(payload []byte) error) (ReplayStats, error)
 	return Replay(f, fn)
 }
 
-// FS is the syscall surface the writer's appends and rewrites run
-// through. A nil FS selects the real filesystem; the chaos tests inject a
-// *fault.DiskInjector, which implements the same method set, to make the
+// FS is the syscall surface the writer's appends, Rewrite, and WriteFile
+// run through. A nil FS selects the real filesystem; the chaos tests inject
+// a *fault.DiskInjector, which implements the same method set, to make the
 // disk misbehave deterministically. Only the durable-commit operations are
 // abstracted — opens, reads, and truncates happen at boot, before any
 // record a caller depends on exists.
@@ -140,27 +144,21 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 }
 
-// fsWrite, fsSync, and fsRename route one operation through fs, or the
-// real filesystem when fs is nil.
-func fsWrite(fs FS, f *os.File, p []byte) (int, error) {
-	if fs == nil {
-		return f.Write(p)
-	}
-	return fs.Write(f, p)
-}
+// osFS is the real filesystem.
+type osFS struct{}
 
-func fsSync(fs FS, f *os.File) error {
-	if fs == nil {
-		return f.Sync()
-	}
-	return fs.Sync(f)
-}
+func (osFS) Write(f *os.File, p []byte) (int, error) { return f.Write(p) }
+func (osFS) Sync(f *os.File) error                   { return f.Sync() }
+func (osFS) Rename(oldpath, newpath string) error    { return os.Rename(oldpath, newpath) }
 
-func fsRename(fs FS, oldpath, newpath string) error {
+// Resolve returns fs, or the real filesystem when fs is nil. Every entry
+// point that takes an FS resolves it once, here, so no caller branches on
+// a nil FS.
+func Resolve(fs FS) FS {
 	if fs == nil {
-		return os.Rename(oldpath, newpath)
+		return osFS{}
 	}
-	return fs.Rename(oldpath, newpath)
+	return fs
 }
 
 // fileWriter adapts one (FS, *os.File) pair to io.Writer so the buffered
@@ -170,7 +168,7 @@ type fileWriter struct {
 	f  *os.File
 }
 
-func (w fileWriter) Write(p []byte) (int, error) { return fsWrite(w.fs, w.f, p) }
+func (w fileWriter) Write(p []byte) (int, error) { return w.fs.Write(w.f, p) }
 
 // Writer appends records to one journal file. It is safe for concurrent
 // use. Appends are buffered; Sync flushes the buffer and fsyncs the file,
@@ -183,19 +181,7 @@ type Writer struct {
 	err error // first write failure; sticky, so a bad disk fails loudly once
 }
 
-// Create opens a fresh journal at path, truncating anything already there,
-// and writes the format header.
-func Create(path string) (*Writer, error) {
-	w, _, err := Open(path, false, nil)
-	return w, err
-}
-
-// Open opens the journal at path for appending; see OpenFS.
-func Open(path string, resume bool, fn func(payload []byte) error) (*Writer, ReplayStats, error) {
-	return OpenFS(path, resume, fn, nil)
-}
-
-// OpenFS opens the journal at path for appending, routing durable writes
+// Open opens the journal at path for appending, routing durable writes
 // through fs (nil selects the real filesystem).
 //
 // With resume false the file is truncated and re-headed: a fresh log.
@@ -204,7 +190,8 @@ func Open(path string, resume bool, fn func(payload []byte) error) (*Writer, Rep
 // exactly like Replay — the torn tail past the valid prefix is truncated
 // away, and subsequent appends extend the recovered log. A fn error aborts
 // the open. fn may be nil to resume without observing the old records.
-func OpenFS(path string, resume bool, fn func(payload []byte) error, fs FS) (*Writer, ReplayStats, error) {
+func Open(path string, resume bool, fn func(payload []byte) error, fs FS) (*Writer, ReplayStats, error) {
+	fs = Resolve(fs)
 	var stats ReplayStats
 	if resume {
 		var err error
@@ -295,7 +282,7 @@ func (w *Writer) syncLocked() error {
 		w.err = err
 		return err
 	}
-	if err := fsSync(w.fs, w.f); err != nil {
+	if err := w.fs.Sync(w.f); err != nil {
 		w.err = err
 		return err
 	}
@@ -303,30 +290,17 @@ func (w *Writer) syncLocked() error {
 }
 
 // Rewrite atomically replaces the journal at path with a fresh one holding
-// exactly the given payloads, in order; see RewriteFS.
-func Rewrite(path string, payloads [][]byte) error {
-	return RewriteFS(path, payloads, nil)
-}
-
-// RewriteFS atomically replaces the journal at path with a fresh one
-// holding exactly the given payloads, in order, routing durable writes
-// through fs (nil selects the real filesystem). The new log is assembled
-// in a temporary file in the same directory, fsynced, and renamed over the
-// original, so a crash at any point leaves either the old journal or the
-// complete new one — never a mix (on a filesystem with atomic rename; a
-// torn rename leaves a prefix the CRC framing detects on the next replay).
-// This is the primitive under journal compaction: the caller replays the
-// old log, decides which records are still live, and rewrites.
-func RewriteFS(path string, payloads [][]byte, fs FS) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".rewrite-*")
-	if err != nil {
-		return fmt.Errorf("journal: rewrite: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op once the rename lands
-
-	bw := bufio.NewWriter(fileWriter{fs: fs, f: tmp})
-	werr := func() error {
+// exactly the given payloads, in order, routing durable writes through fs
+// (nil selects the real filesystem). The new log goes through the same
+// crash-safe replace as WriteFile, so a crash at any point leaves either
+// the old journal or the complete new one — never a mix (a torn rename
+// leaves a prefix the CRC framing detects on the next replay). This is the
+// primitive under journal compaction: the caller replays the old log,
+// decides which records are still live, and rewrites.
+func Rewrite(path string, payloads [][]byte, fs FS) error {
+	fs = Resolve(fs)
+	err := replaceFile(path, fs, func(f *os.File) error {
+		bw := bufio.NewWriter(fileWriter{fs: fs, f: f})
 		if _, err := bw.Write(fileMagic); err != nil {
 			return err
 		}
@@ -335,19 +309,52 @@ func RewriteFS(path string, payloads [][]byte, fs FS) error {
 				return err
 			}
 		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return fsSync(fs, tmp)
-	}()
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("journal: rewrite: %w", werr)
-	}
-	if err := fsRename(fs, tmp.Name(), path); err != nil {
+		return bw.Flush()
+	})
+	if err != nil {
 		return fmt.Errorf("journal: rewrite: %w", err)
+	}
+	return nil
+}
+
+// WriteFile atomically replaces the file at path with b, routing the write,
+// fsync, and rename through fs (nil selects the real filesystem): one
+// Write, one Sync, one Rename. The destination is never observable
+// half-written, and once WriteFile returns nil the new bytes survive power
+// loss.
+func WriteFile(path string, b []byte, fs FS) error {
+	fs = Resolve(fs)
+	return replaceFile(path, fs, func(f *os.File) error {
+		_, err := fs.Write(f, b)
+		return err
+	})
+}
+
+// replaceFile is the crash-safe replace under Rewrite and WriteFile: fill a
+// temporary file in path's directory, fsync and close it, rename it over
+// path, and sync the directory. A failure at any step removes the
+// temporary file and leaves path as it was (or, under a torn rename, with
+// a prefix the caller's format must detect).
+func replaceFile(path string, fs FS, fill func(f *os.File) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op once the rename lands
+
+	err = fill(tmp)
+	if err == nil {
+		err = fs.Sync(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := fs.Rename(tmp.Name(), path); err != nil {
+		return err
 	}
 	// Best-effort directory sync so the rename itself survives power loss;
 	// filesystems that cannot fsync a directory still got the atomic rename.

@@ -26,9 +26,9 @@ func collect(t *testing.T, path string) ([][]byte, ReplayStats) {
 
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := Open(path, false, nil, nil)
 	if err != nil {
-		t.Fatalf("Create: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	want := [][]byte{[]byte("alpha"), {}, []byte("gamma with\x00binary"), bytes.Repeat([]byte{0xAB}, 4096)}
 	for _, p := range want {
@@ -79,7 +79,7 @@ func TestRoundTrip(t *testing.T) {
 func TestRewrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.wal")
-	w, err := Create(path)
+	w, _, err := Open(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRewrite(t *testing.T) {
 	}
 
 	live := [][]byte{[]byte("keep-a"), {}, []byte("keep-b")}
-	if err := Rewrite(path, live); err != nil {
+	if err := Rewrite(path, live, nil); err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
 
@@ -109,7 +109,7 @@ func TestRewrite(t *testing.T) {
 
 	// Byte-identical to a journal built by appending the same payloads.
 	fresh := filepath.Join(dir, "fresh.wal")
-	fw, err := Create(fresh)
+	fw, _, err := Open(fresh, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRewrite(t *testing.T) {
 	}
 
 	// The rewritten log keeps accepting appends.
-	w2, stats, err := Open(path, true, nil)
+	w2, stats, err := Open(path, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestEmptyAndMissing(t *testing.T) {
 
 func TestResumeAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := Open(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestResumeAppends(t *testing.T) {
 	w, stats, err := Open(path, true, func(p []byte) error {
 		replayed = append(replayed, append([]byte(nil), p...))
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Open resume: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestResumeAppends(t *testing.T) {
 
 func TestTornTailTruncatedOnResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := Open(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestTornTailTruncatedOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, stats, err := Open(path, true, nil)
+	w, stats, err := Open(path, true, nil, nil)
 	if err != nil {
 		t.Fatalf("Open resume over torn tail: %v", err)
 	}
@@ -280,7 +280,7 @@ func TestBadMagicStartsFresh(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a journal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, stats, err := Open(path, true, func([]byte) error { t.Fatal("fn called"); return nil })
+	w, stats, err := Open(path, true, func([]byte) error { t.Fatal("fn called"); return nil }, nil)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -349,7 +349,7 @@ func TestChecksumMismatchIsTorn(t *testing.T) {
 
 func TestFnErrorAborts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := Open(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestFnErrorAborts(t *testing.T) {
 
 func TestAppendTooLarge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	w, err := Create(path)
+	w, _, err := Open(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

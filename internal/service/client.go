@@ -28,16 +28,12 @@ import (
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://127.0.0.1:8900".
 	Base string
-	// HTTP, when non-nil, overrides the client's default http.Client
-	// entirely (tests inject one; CLIs with exotic needs set their own
-	// policies). When nil, the client builds a private http.Client over a
-	// transport with sane dial/TLS/response-header timeouts — never
-	// http.DefaultClient, whose zero timeouts let one hung peer wedge a
+	// Transport, when non-nil, is the RoundTripper under the client's
+	// private http.Client — the seam the fabric chaos suite uses to thread
+	// a fault.NetInjector beneath every request. When nil, the client uses
+	// a transport with sane dial/TLS/response-header timeouts — never
+	// http.DefaultClient's, whose zero timeouts let one hung peer wedge a
 	// caller forever.
-	HTTP *http.Client
-	// Transport, when non-nil (and HTTP is nil), is the RoundTripper
-	// under the default client — the seam the fabric chaos suite uses to
-	// thread a fault.NetInjector beneath every request.
 	Transport http.RoundTripper
 	// RequestTimeout bounds each non-streaming request (submit, status,
 	// cancel, result fetch) with a context deadline. Zero selects 30s;
@@ -96,9 +92,6 @@ func defaultTransport() *http.Transport {
 }
 
 func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
 	c.httpOnce.Do(func() {
 		tr := c.Transport
 		if tr == nil {
@@ -396,7 +389,10 @@ func (c *Client) eventsOnce(ctx context.Context, id string, fn func(Event) error
 
 // Wait blocks until the job is terminal, preferring the event stream and
 // falling back to status polling if the stream drops (daemon restart). A
-// non-nil onProgress observes done/total counts as they arrive.
+// non-nil onProgress observes done/total counts as they arrive. A status
+// probe the daemon answers with a structured 4xx — a job it never had or
+// has since reaped, a refused token — ends the wait with that *APIError;
+// transport failures and 5xx are waited out.
 func (c *Client) Wait(ctx context.Context, id string, onProgress func(done, total int)) (JobStatus, error) {
 	for {
 		// The stream can drop (daemon restart) or end on a state the
@@ -411,8 +407,15 @@ func (c *Client) Wait(ctx context.Context, id string, onProgress func(done, tota
 		if ctx.Err() != nil {
 			return JobStatus{}, ctx.Err()
 		}
-		if st, err := c.Status(ctx, id); err == nil && st.State.terminal() {
+		st, err := c.Status(ctx, id)
+		if err == nil && st.State.terminal() {
 			return st, nil
+		}
+		// decodeError labels a 4xx body it could not parse CodeInternal:
+		// that answer may come from something other than the daemon.
+		var apiErr *APIError
+		if errors.As(err, &apiErr) && apiErr.Status/100 == 4 && apiErr.Code != CodeInternal {
+			return JobStatus{}, err
 		}
 		select {
 		case <-time.After(250 * time.Millisecond):

@@ -194,7 +194,7 @@ func (s *Server) compactManifestLocked() error {
 		s.reg.Counter(mManifestErrs).Inc()
 	}
 	rewriteErr := rewriteVerified(s.manifestPath(), payloads, s.cfg.FS)
-	w, _, openErr := journal.OpenFS(s.manifestPath(), true, nil, s.cfg.FS)
+	w, _, openErr := journal.Open(s.manifestPath(), true, nil, s.cfg.FS)
 	if openErr != nil {
 		return fmt.Errorf("service: reopening manifest after compaction: %w", openErr)
 	}
@@ -214,7 +214,7 @@ func (s *Server) compactManifestLocked() error {
 // a CRC-valid prefix, which replays clean but short, so the count check is
 // what catches it.
 func rewriteVerified(path string, payloads [][]byte, fs journal.FS) error {
-	if err := journal.RewriteFS(path, payloads, fs); err != nil {
+	if err := journal.Rewrite(path, payloads, fs); err != nil {
 		return err
 	}
 	n := 0

@@ -349,9 +349,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: cache: %w", err)
 	}
-	if cfg.FS != nil {
-		cache.SetFS(cfg.FS)
-	}
+	cache.SetFS(cfg.FS)
 
 	s := &Server{
 		cfg:    cfg,
@@ -451,7 +449,7 @@ func (s *Server) recover() error {
 	// so the second scan only finds the append offset and drops any torn
 	// tail. The torn records (if any) were never acknowledged to a client
 	// — an fsync'd append is the admission commit point.
-	w, _, err := journal.OpenFS(path, true, nil, s.cfg.FS)
+	w, _, err := journal.Open(path, true, nil, s.cfg.FS)
 	if err != nil {
 		return err
 	}
@@ -1093,7 +1091,7 @@ func (s *Server) execute(ctx context.Context, j *job) {
 	case sweepErr == nil:
 		enc, err := clocksched.EncodeSweepResult(res)
 		if err == nil {
-			err = writeFileAtomic(s.resultPath(j.id), enc, s.cfg.FS)
+			err = journal.WriteFile(s.resultPath(j.id), enc, s.cfg.FS)
 		}
 		if err != nil {
 			s.finishJob(j, StateFailed, fmt.Sprintf("storing result: %v", err))
@@ -1233,40 +1231,6 @@ func (s *Server) closeManifest() error {
 	s.manifestMu.Lock()
 	defer s.manifestMu.Unlock()
 	return s.manifest.Close()
-}
-
-// writeFileAtomic writes bytes via a same-directory temp file, fsync, and
-// rename, so the destination is never observable half-written. A non-nil
-// fs routes the write, fsync, and rename through the injectable surface.
-func writeFileAtomic(path string, b []byte, fs journal.FS) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	var werr error
-	if fs == nil {
-		_, werr = tmp.Write(b)
-	} else {
-		_, werr = fs.Write(tmp, b)
-	}
-	if werr == nil {
-		if fs == nil {
-			werr = tmp.Sync()
-		} else {
-			werr = fs.Sync(tmp)
-		}
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	if fs == nil {
-		return os.Rename(tmp.Name(), path)
-	}
-	return fs.Rename(tmp.Name(), path)
 }
 
 // scopes snapshots the metric export set: the service registry, any extra

@@ -594,3 +594,39 @@ func isNetErr(err error) bool {
 	return strings.Contains(s, "connection") || strings.Contains(s, "EOF") ||
 		strings.Contains(s, "deadline") || strings.Contains(s, "canceled")
 }
+
+// TestWaitUnknownJobReturnsNotFound pins that Wait gives up on a job the
+// daemon does not have — an id it never issued, or one the retention pass
+// reaped — with the daemon's 404 instead of polling until the caller's
+// context ends.
+func TestWaitUnknownJobReturnsNotFound(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, RetainResults: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	var ids []string
+	for i := 0; i < 2; i++ {
+		st, err := c.Submit(ctx, testSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, st.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	if st, err := s.GC(); err != nil || st.JobsDeleted != 1 {
+		t.Fatalf("gc = %+v, %v; want the oldest job reaped", st, err)
+	}
+
+	for _, id := range []string{"j999", ids[0]} {
+		t0 := time.Now()
+		_, err := c.Wait(ctx, id, nil)
+		if !isAPIError(err, 404, CodeNotFound) {
+			t.Errorf("Wait(%s) = %v, want 404 %s", id, err, CodeNotFound)
+		}
+		if d := time.Since(t0); d > 2*time.Second {
+			t.Errorf("Wait(%s) took %v to give up", id, d)
+		}
+	}
+}

@@ -44,15 +44,10 @@ type Hasher struct {
 	b strings.Builder
 }
 
-// NewHasher starts a key for the given domain (e.g. "clocksched.Config"),
-// bound to the current simulation Version.
-func NewHasher(domain string) *Hasher {
-	return NewHasherAt(domain, Version)
-}
-
-// NewHasherAt starts a key bound to an explicit version string. It exists
-// so cache-invalidation tests can prove that a version bump changes every
-// key; production callers use NewHasher.
+// NewHasherAt starts a key for the given domain (e.g. "clocksched.Result"),
+// bound to an explicit version string. Production keys pass Version;
+// cache-invalidation tests pass another to prove a version bump changes
+// every key.
 func NewHasherAt(domain, version string) *Hasher {
 	h := &Hasher{}
 	h.Field("domain", domain)

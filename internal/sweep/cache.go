@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clocksched/internal/journal"
 	"clocksched/internal/telemetry"
 )
 
@@ -220,39 +221,25 @@ func (c *Cache) PutEncoded(key string, v any) ([]byte, error) {
 	if c.dir == "" {
 		return b, nil
 	}
-	// Atomic write: a crashed or concurrent writer never leaves a torn
-	// file for Get to misread. (Under an injected torn rename the entry
-	// file can hold a prefix — which Get's decode-or-quarantine path treats
-	// as a miss, so a faulted write still only costs a re-run.)
-	path := c.path(key)
+	// Atomic but deliberately not fsynced: a crashed or concurrent writer
+	// never leaves a torn file under the entry's name, and an entry a power
+	// loss (or an injected torn rename) does tear is decoded, quarantined
+	// and reported as a miss by Get, so it only costs a re-run.
+	fs := journal.Resolve(c.fs)
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
 	if err != nil {
 		return nil, fmt.Errorf("sweep: cache write: %w", err)
 	}
-	werr := func() error {
-		if c.fs == nil {
-			_, err := tmp.Write(b)
-			return err
-		}
-		_, err := c.fs.Write(tmp, b)
-		return err
-	}()
+	_, werr := fs.Write(tmp, b)
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = fs.Rename(tmp.Name(), c.path(key))
+	}
 	if werr != nil {
-		tmp.Close()
 		os.Remove(tmp.Name())
 		return nil, fmt.Errorf("sweep: cache write: %w", werr)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("sweep: cache write: %w", err)
-	}
-	rename := os.Rename
-	if c.fs != nil {
-		rename = c.fs.Rename
-	}
-	if err := rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("sweep: cache write: %w", err)
 	}
 	return b, nil
 }

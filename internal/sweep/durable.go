@@ -156,12 +156,7 @@ type journalTel struct {
 	commits, errs *telemetry.Counter
 }
 
-// OpenCellJournal opens the cell journal at path; see OpenCellJournalFS.
-func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
-	return OpenCellJournalFS(path, resume, nil)
-}
-
-// OpenCellJournalFS opens (resume=false: truncates) the cell journal at path,
+// OpenCellJournal opens (resume=false: truncates) the cell journal at path,
 // routing its durable writes — appends, fsyncs, and the compaction rewrite —
 // through fs (nil selects the real filesystem; chaos tests inject faults).
 // With resume, previously committed records are recovered — a torn tail
@@ -176,7 +171,7 @@ func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
 // duplicate commits and the already-truncated tail. Compaction preserves
 // exactly the recovered cell set — it changes the file, never the
 // semantics — and Compacted reports that it happened.
-func OpenCellJournalFS(path string, resume bool, fs FS) (*CellJournal, error) {
+func OpenCellJournal(path string, resume bool, fs FS) (*CellJournal, error) {
 	done := map[string]string{}
 	var order []string // first-commit order of distinct keys
 	parse := func(p []byte) error {
@@ -210,7 +205,7 @@ func OpenCellJournalFS(path string, resume bool, fs FS) (*CellJournal, error) {
 				}
 				payloads = append(payloads, rec)
 			}
-			if err := journal.RewriteFS(path, payloads, fs); err != nil {
+			if err := journal.Rewrite(path, payloads, fs); err != nil {
 				return nil, fmt.Errorf("sweep: compacting journal %s: %w", path, err)
 			}
 			compacted = true
@@ -219,7 +214,7 @@ func OpenCellJournalFS(path string, resume bool, fs FS) (*CellJournal, error) {
 
 	// The records are already parsed (or the log is fresh); the second scan
 	// inside Open just finds the append offset and drops any torn tail.
-	w, _, err := journal.OpenFS(path, resume, nil, fs)
+	w, _, err := journal.Open(path, resume, nil, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +348,7 @@ type cellRunner struct {
 	telDeadline *telemetry.Counter
 }
 
-// run executes cell i: journal replay, cache lookup, then the retry loop.
+// run executes cell i: cache lookup, then the retry loop.
 // Cache and journal failures are swallowed — durability accelerates and
 // protects, it never gates a result.
 func (cr *cellRunner) run(ctx context.Context, i int, j Job) Outcome {
@@ -361,16 +356,10 @@ func (cr *cellRunner) run(ctx context.Context, i int, j Job) Outcome {
 		return Outcome{Err: err}
 	}
 
-	// Journal replay: the journal proves the cell completed in a previous
-	// run; the cache must still produce bytes with the committed hash to be
-	// believed. A mismatch — evicted entry, corruption, codec drift — falls
-	// through to an ordinary re-run, which reproduces the same result.
-	if h, ok := cr.journal.Completed(j.Key); ok && cr.cache != nil && j.Key != "" {
-		if v, enc, hit, err := cr.cache.GetWithBytes(j.Key); err == nil && hit && hashBytes(enc) == h {
-			return Outcome{Value: v, Cached: true, Replayed: true}
-		}
-	}
-
+	// Journal-replayed cells never reach here: Run's resume prescan served
+	// every cell the journal and cache verify. A journalled cell whose
+	// cached bytes no longer match its hash is an ordinary cache hit (or
+	// miss) below, which reproduces the same result.
 	if cr.cache != nil && j.Key != "" {
 		if v, enc, hit, err := cr.cache.GetWithBytes(j.Key); err == nil && hit {
 			// A plain cache hit also completes the cell; journal it so a

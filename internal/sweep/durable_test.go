@@ -204,7 +204,7 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr1, err := OpenCellJournal(wal, false)
+	jr1, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestJournalCommitAndResumeReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr2, err := OpenCellJournal(wal, true)
+	jr2, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestResumeProgressStartsAtReplayedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr1, err := OpenCellJournal(wal, false)
+	jr1, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestResumeProgressStartsAtReplayedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr2, err := OpenCellJournal(wal, true)
+	jr2, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestJournalHashMismatchReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr1, err := OpenCellJournal(wal, false)
+	jr1, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestJournalHashMismatchReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr2, err := OpenCellJournal(wal, true)
+	jr2, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestPlainCacheHitIsJournalled(t *testing.T) {
 	if err := c.Put("warm", 5); err != nil {
 		t.Fatal(err)
 	}
-	jr, err := OpenCellJournal(wal, false)
+	jr, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestPlainCacheHitIsJournalled(t *testing.T) {
 func TestCellJournalTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "sweep.wal")
-	jr, err := OpenCellJournal(wal, false)
+	jr, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestCellJournalTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenCellJournal(wal, true)
+	re, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestCellJournalCompactionRoundTrip(t *testing.T) {
 
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "sweep.wal")
-	jr, err := OpenCellJournal(wal, false)
+	jr, err := OpenCellJournal(wal, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestCellJournalCompactionRoundTrip(t *testing.T) {
 
 	// Resume over the threshold: torn tail dropped, log rewritten.
 	CompactThreshold = 64
-	re, err := OpenCellJournal(wal, true)
+	re, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestCellJournalCompactionRoundTrip(t *testing.T) {
 	// Round trip: a small compacted log resumes clean — no tear, no
 	// re-compaction — with every cell intact.
 	CompactThreshold = 1 << 20
-	again, err := OpenCellJournal(wal, true)
+	again, err := OpenCellJournal(wal, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestOpenCellJournalRejectsForeignRecords(t *testing.T) {
 	// A frame that passes the CRC but is not a cell record means the file
 	// belongs to something else; resuming from it must fail loudly.
 	wal := filepath.Join(t.TempDir(), "other.wal")
-	w, err := journal.Create(wal)
+	w, _, err := journal.Open(wal, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestOpenCellJournalRejectsForeignRecords(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCellJournal(wal, true); err == nil {
+	if _, err := OpenCellJournal(wal, true, nil); err == nil {
 		t.Fatal("foreign journal resumed without error")
 	}
 }

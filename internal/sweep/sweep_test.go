@@ -198,12 +198,20 @@ func TestSweepClaimsEachCellOnce(t *testing.T) {
 	t.Run("cancel", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
+		// Cells that start while cancel() is still running wait for it to
+		// return, so how far the other workers get during the call — a
+		// matter of host scheduling — cannot move the count.
 		var started atomic.Int32
+		cancelled := make(chan struct{})
 		jobs := make([]Job, n)
 		for i := range jobs {
 			jobs[i] = Job{Run: func(context.Context) (any, error) {
-				if started.Add(1) == 100 {
+				switch k := started.Add(1); {
+				case k == 100:
 					cancel()
+					close(cancelled)
+				case k > 100:
+					<-cancelled
 				}
 				return nil, nil
 			}}

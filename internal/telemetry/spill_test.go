@@ -15,7 +15,7 @@ import (
 
 func TestSpillEventsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.wal")
-	w, err := journal.Create(path)
+	w, _, err := journal.Open(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSpillEventsRoundTrip(t *testing.T) {
 
 func TestSpillTornTailIsDropped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.wal")
-	w, err := journal.Create(path)
+	w, _, err := journal.Open(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSpillConcurrentEmit(t *testing.T) {
 	// Emit from many goroutines while spilling; every event must land in the
 	// log exactly once (the -race tier cares about the locking too).
 	path := filepath.Join(t.TempDir(), "events.wal")
-	w, err := journal.Create(path)
+	w, _, err := journal.Open(path, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

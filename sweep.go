@@ -367,7 +367,7 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 	var jr *sweep.CellJournal
 	if cfg.Journal != "" {
 		var err error
-		jr, err = sweep.OpenCellJournalFS(cfg.Journal, cfg.Resume, cfg.FS)
+		jr, err = sweep.OpenCellJournal(cfg.Journal, cfg.Resume, cfg.FS)
 		if err != nil {
 			return nil, err
 		}
@@ -473,6 +473,9 @@ type SweepCacheStats struct {
 // memory (non-positive selects a default of 1024). A non-empty dir adds a
 // persistent disk layer under it — one file per cell, written atomically —
 // so repeated sweeps across process restarts skip already-measured cells.
+// Entry files are not fsynced: an entry torn by a power loss fails to
+// decode and is quarantined as a miss, and a Journal, which is fsynced,
+// is what makes a sweep durable.
 func NewSweepCache(maxEntries int, dir string) (*SweepCache, error) {
 	inner, err := sweep.NewCache(maxEntries, dir, sweep.Codec{
 		Encode: func(v any) ([]byte, error) {

@@ -190,7 +190,7 @@ func (t *Telemetry) SpillEvents(path string) error {
 	if t.spill != nil {
 		return fmt.Errorf("clocksched: telemetry already spilling")
 	}
-	w, err := journal.Create(path)
+	w, _, err := journal.Open(path, false, nil, nil)
 	if err != nil {
 		return err
 	}
