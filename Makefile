@@ -3,7 +3,8 @@
 # included), the complete
 # test suite under the race detector, short fuzz smokes of the trace
 # parser, the journal replayer, the job-spec decoder, the policy-registry
-# wire form, and the fabric shard-plan ledger,
+# wire form, the sweep-spec shard arithmetic, and the fabric shard-plan
+# ledger,
 # the kernel stress tests under -race, the parallel-sweep determinism proof
 # under -race, the durability (checkpoint/resume/retry) suite under -race,
 # the oracle/policy-zoo differential suite under -race, the sweep-service
@@ -45,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJobSpecDecode -fuzztime=10s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzTokenFileParse -fuzztime=10s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzParamsDecode -fuzztime=10s .
+	$(GO) test -run=^$$ -fuzz=FuzzSweepSpecShard -fuzztime=10s .
 	$(GO) test -run=^$$ -fuzz=FuzzShardPlanDecode -fuzztime=10s ./internal/fabric/
 	$(GO) test -run=^$$ -fuzz=FuzzFleetSpecDecode -fuzztime=10s ./internal/fleet/
 

@@ -131,6 +131,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// localName is the local runner's holder/metric label.
+const localName = "local"
+
 // maxShardHolders bounds concurrent attempts on one shard: the original
 // lease plus at most two thieves.
 const maxShardHolders = 3
@@ -154,12 +157,14 @@ type shardState struct {
 	lastActivity time.Time       // dispatch or last observed progress
 	adoptPeer    string          // journaled lease to adopt on resume
 	adoptJob     string
-	lastErr      string // most recent remote failure text, for diagnostics
+	lastErrPeer  string // peer of the most recent remote failure
+	lastErr      string // its text, named if the shard then fails locally
 }
 
 func (s *shardState) cells() int { return s.hi - s.lo }
 
-// peerState is one peer's health record.
+// peerState is one runner's health record: a peer, or the local fallback
+// (named localName, with no client, never backing off).
 type peerState struct {
 	base         string
 	client       *service.Client
@@ -176,7 +181,8 @@ type Coordinator struct {
 	rng       *sim.RNG
 	shards    []*shardState
 	peers     []*peerState
-	remaining int // shards not yet done
+	local     *peerState // the in-process fallback runner
+	remaining int        // shards not yet done
 	doneCells int
 	replayed  int // cells recovered from the ledger at startup
 	fatal     error
@@ -198,9 +204,10 @@ func New(cfg Config) (*Coordinator, error) {
 		reg = telemetry.New()
 	}
 	co := &Coordinator{
-		cfg: cfg,
-		rng: sim.NewRNGStream(cfg.Seed, fabricStream),
-		reg: reg,
+		cfg:   cfg,
+		rng:   sim.NewRNGStream(cfg.Seed, fabricStream),
+		reg:   reg,
+		local: &peerState{base: localName},
 	}
 	for _, base := range cfg.Peers {
 		co.peers = append(co.peers, &peerState{base: base, client: co.newClient(base)})
@@ -294,18 +301,13 @@ func (c *Coordinator) Run(ctx context.Context, spec clocksched.SweepSpec) (*cloc
 
 	if rem > 0 {
 		var wg sync.WaitGroup
-		for _, p := range c.peers {
+		for _, r := range append([]*peerState{c.local}, c.peers...) {
 			wg.Add(1)
-			go func(p *peerState) {
+			go func() {
 				defer wg.Done()
-				c.runPeer(ctx, p)
-			}(p)
+				c.run(ctx, r)
+			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.runLocal(ctx)
-		}()
 		wg.Wait()
 	}
 
@@ -614,9 +616,69 @@ const (
 	takeSteal
 )
 
-// takeForPeer blocks until the peer has an eligible shard (returned with
-// its holder slot claimed) or the run is over (nil).
-func (c *Coordinator) takeForPeer(ctx context.Context, p *peerState) (*shardState, takeMode) {
+// pickLocked chooses the shard runner r should work on next, or nil when
+// nothing is eligible for it now. Called under c.mu. A runner is a peer,
+// or c.local, the in-process fallback, and the two differ only in what
+// they may take:
+//
+//   - A peer in backoff takes nothing. Otherwise it takes, in order, a
+//     shard whose journaled lease names it (adopt), the first pending
+//     shard that is not local-only, then a steal.
+//   - The local runner takes local-only pending shards at any time, any
+//     pending shard only when every peer is backing off, and steals only
+//     then.
+//
+// A steal duplicates the stalest in-flight shard that has seen no
+// activity for StealAfter, that r does not already hold, and that has
+// room for another holder; peers never steal local-only shards. A
+// non-positive StealAfter disables stealing.
+func (c *Coordinator) pickLocked(r *peerState, now time.Time) (*shardState, takeMode) {
+	local := r == c.local
+	if now.Before(r.backoffUntil) {
+		return nil, 0
+	}
+	fleetDown := local && c.allPeersDownLocked(now)
+	if !local {
+		// A lease journaled against this peer may still be running there.
+		for _, s := range c.shards {
+			if !s.done && len(s.holders) == 0 && !s.localOnly && s.adoptPeer == r.base && s.adoptJob != "" {
+				return s, takeAdopt
+			}
+		}
+	}
+	for _, s := range c.shards {
+		if s.done || len(s.holders) > 0 {
+			continue
+		}
+		if local && (s.localOnly || fleetDown) || !local && !s.localOnly {
+			return s, takeDispatch
+		}
+	}
+	if c.cfg.StealAfter <= 0 || local && !fleetDown {
+		return nil, 0
+	}
+	// Tail: duplicate the stalest in-flight shard.
+	var stalest *shardState
+	for _, s := range c.shards {
+		if s.done || len(s.holders) == 0 || s.holders[r.base] || len(s.holders) >= maxShardHolders ||
+			!local && s.localOnly || now.Sub(s.lastActivity) < c.cfg.StealAfter {
+			continue
+		}
+		if stalest == nil || s.lastActivity.Before(stalest.lastActivity) {
+			stalest = s
+		}
+	}
+	if stalest == nil {
+		return nil, 0
+	}
+	return stalest, takeSteal
+}
+
+// take blocks until runner r has an eligible shard (returned with its
+// holder slot claimed) or the run is over (nil). A peer's dispatches and
+// steals count toward the shard's remote attempts; adoptions and local
+// runs do not.
+func (c *Coordinator) take(ctx context.Context, r *peerState) (*shardState, takeMode) {
 	for {
 		c.mu.Lock()
 		if c.stopLocked(ctx) {
@@ -624,63 +686,23 @@ func (c *Coordinator) takeForPeer(ctx context.Context, p *peerState) (*shardStat
 			return nil, 0
 		}
 		now := time.Now()
-		if now.Before(p.backoffUntil) {
+		s, mode := c.pickLocked(r, now)
+		if s != nil {
+			s.holders[r.base] = true
+			s.lastActivity = now
+			if r != c.local && mode != takeAdopt {
+				s.attempts++
+			}
 			c.mu.Unlock()
-			if !sleepCtx(ctx, takeRetry) {
-				return nil, 0
+			if mode == takeSteal {
+				c.reg.Counter(mSteal(r.base)).Inc()
 			}
-			continue
-		}
-		var pick *shardState
-		mode := takeDispatch
-		// Adoptable shards first: a lease journaled against this peer may
-		// still be running there.
-		for _, s := range c.shards {
-			if !s.done && len(s.holders) == 0 && !s.localOnly && s.adoptPeer == p.base && s.adoptJob != "" {
-				pick, mode = s, takeAdopt
-				break
-			}
-		}
-		if pick == nil {
-			for _, s := range c.shards {
-				if !s.done && len(s.holders) == 0 && !s.localOnly {
-					pick = s
-					break
-				}
-			}
-		}
-		if pick == nil && c.cfg.StealAfter > 0 {
-			// Tail: duplicate the stalest in-flight shard.
-			var stalest *shardState
-			for _, s := range c.shards {
-				if s.done || s.localOnly || len(s.holders) == 0 || s.holders[p.base] || len(s.holders) >= maxShardHolders {
-					continue
-				}
-				if now.Sub(s.lastActivity) < c.cfg.StealAfter {
-					continue
-				}
-				if stalest == nil || s.lastActivity.Before(stalest.lastActivity) {
-					stalest = s
-				}
-			}
-			if stalest != nil {
-				pick, mode = stalest, takeSteal
-			}
-		}
-		if pick == nil {
-			c.mu.Unlock()
-			if !sleepCtx(ctx, takeRetry) {
-				return nil, 0
-			}
-			continue
-		}
-		pick.holders[p.base] = true
-		pick.lastActivity = now
-		if mode != takeAdopt {
-			pick.attempts++
+			return s, mode
 		}
 		c.mu.Unlock()
-		return pick, mode
+		if !sleepCtx(ctx, takeRetry) {
+			return nil, 0
+		}
 	}
 }
 
@@ -694,16 +716,21 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// runPeer is one peer's dispatch loop.
-func (c *Coordinator) runPeer(ctx context.Context, p *peerState) {
+// run is one runner's loop: take a shard, attempt it on the peer or in
+// process, release the holder slot, repeat until the run is over.
+func (c *Coordinator) run(ctx context.Context, r *peerState) {
 	for {
-		s, mode := c.takeForPeer(ctx, p)
+		s, mode := c.take(ctx, r)
 		if s == nil {
 			return
 		}
-		c.attemptPeer(ctx, p, s, mode)
+		if r == c.local {
+			c.attemptLocal(ctx, s)
+		} else {
+			c.attemptPeer(ctx, r, s, mode)
+		}
 		c.mu.Lock()
-		delete(s.holders, p.base)
+		delete(s.holders, r.base)
 		c.mu.Unlock()
 	}
 }
@@ -747,9 +774,6 @@ func terminalRejection(err error) bool {
 // pending for redispatch.
 func (c *Coordinator) attemptPeer(ctx context.Context, p *peerState, s *shardState, mode takeMode) {
 	cl := p.client
-	if mode == takeSteal {
-		c.reg.Counter(mSteal(p.base)).Inc()
-	}
 	var jobID string
 
 	if mode == takeAdopt {
@@ -844,7 +868,7 @@ func (c *Coordinator) watchLease(ctx context.Context, p *peerState, s *shardStat
 				// retries burn toward the local fallback, where the local
 				// engine is the arbiter of whether the spec truly fails.
 				c.mu.Lock()
-				s.lastErr = st.Error
+				s.lastErrPeer, s.lastErr = p.base, st.Error
 				if s.attempts >= c.cfg.MaxRemoteAttempts {
 					s.localOnly = true
 				}
@@ -910,9 +934,6 @@ func (c *Coordinator) finishLease(ctx context.Context, p *peerState, s *shardSta
 	c.mu.Unlock()
 }
 
-// localName is the local runner's holder/metric label.
-const localName = "local"
-
 // allPeersDownLocked reports whether every configured peer is cooling
 // off; with no peers at all the fleet is trivially down and local runs
 // everything.
@@ -923,75 +944,6 @@ func (c *Coordinator) allPeersDownLocked(now time.Time) bool {
 		}
 	}
 	return true
-}
-
-// takeForLocal picks work for the local fallback runner: shards past
-// their remote budget always; any pending shard when the whole fleet is
-// down; the stalest in-flight shard (steal) when the fleet is down and
-// nothing is pending.
-func (c *Coordinator) takeForLocal(ctx context.Context) *shardState {
-	for {
-		c.mu.Lock()
-		if c.stopLocked(ctx) {
-			c.mu.Unlock()
-			return nil
-		}
-		now := time.Now()
-		fleetDown := c.allPeersDownLocked(now)
-		var pick *shardState
-		for _, s := range c.shards {
-			if s.done || len(s.holders) > 0 {
-				continue
-			}
-			if s.localOnly || fleetDown {
-				pick = s
-				break
-			}
-		}
-		if pick == nil && fleetDown && c.cfg.StealAfter > 0 {
-			for _, s := range c.shards {
-				if s.done || len(s.holders) == 0 || s.holders[localName] || len(s.holders) >= maxShardHolders {
-					continue
-				}
-				if now.Sub(s.lastActivity) < c.cfg.StealAfter {
-					continue
-				}
-				if pick == nil || s.lastActivity.Before(pick.lastActivity) {
-					pick = s
-				}
-			}
-		}
-		if pick == nil {
-			c.mu.Unlock()
-			if !sleepCtx(ctx, takeRetry) {
-				return nil
-			}
-			continue
-		}
-		stolen := len(pick.holders) > 0
-		pick.holders[localName] = true
-		pick.lastActivity = now
-		c.mu.Unlock()
-		if stolen {
-			c.reg.Counter(mSteal(localName)).Inc()
-		}
-		return pick
-	}
-}
-
-// runLocal is the degraded-mode runner: it executes shards with the local
-// sweep engine, journaled per shard so even local work is crash-safe.
-func (c *Coordinator) runLocal(ctx context.Context) {
-	for {
-		s := c.takeForLocal(ctx)
-		if s == nil {
-			return
-		}
-		c.attemptLocal(ctx, s)
-		c.mu.Lock()
-		delete(s.holders, localName)
-		c.mu.Unlock()
-	}
 }
 
 // attemptLocal runs one shard in-process. A partial result (cell errors
@@ -1017,8 +969,13 @@ func (c *Coordinator) attemptLocal(ctx context.Context, s *shardState) {
 		return
 	}
 	if res == nil {
-		c.fail(&service.APIError{Status: 500, Code: CodeShardFailed,
-			Message: fmt.Sprintf("shard %d failed locally: %v", s.index, runErr)})
+		msg := fmt.Sprintf("shard %d failed locally: %v", s.index, runErr)
+		c.mu.Lock()
+		if s.lastErrPeer != "" {
+			msg += fmt.Sprintf("; last remote failure on %s: %s", s.lastErrPeer, s.lastErr)
+		}
+		c.mu.Unlock()
+		c.fail(&service.APIError{Status: 500, Code: CodeShardFailed, Message: msg})
 		return
 	}
 	b, err := clocksched.EncodeSweepResult(res)

@@ -16,7 +16,7 @@ func TestDeadlineSubmitOrdering(t *testing.T) {
 	if d.Pending() != 3 {
 		t.Fatalf("pending = %d", d.Pending())
 	}
-	if d.jobs[0].Due != 100 || d.jobs[1].Due != 200 || d.jobs[2].Due != 300 {
+	if d.jobs[0].due != 100 || d.jobs[1].due != 200 || d.jobs[2].due != 300 {
 		t.Errorf("jobs not sorted by due: %+v", d.jobs)
 	}
 }
@@ -41,7 +41,7 @@ func TestDeadlineComplete(t *testing.T) {
 	a := d.Submit(100, 100)
 	b := d.Submit(100, 200)
 	d.Complete(a)
-	if d.Pending() != 1 || d.jobs[0].ID != b {
+	if d.Pending() != 1 || d.jobs[0].id != b {
 		t.Errorf("after complete: %+v", d.jobs)
 	}
 	d.Complete(9999) // unknown id: no-op
@@ -122,7 +122,7 @@ func TestDeadlineRetire(t *testing.T) {
 	if d.Pending() != 1 {
 		t.Fatalf("pending = %d", d.Pending())
 	}
-	if got := d.jobs[0].Cycles; got != 3_000_000-2_064_000 {
+	if got := d.jobs[0].cycles; got != 3_000_000-2_064_000 {
 		t.Errorf("remaining cycles = %d, want 936000", got)
 	}
 	// Another fully-busy quantum finishes it.
@@ -141,7 +141,7 @@ func TestDeadlineRetireSpansJobs(t *testing.T) {
 	if d.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", d.Pending())
 	}
-	if got := d.jobs[0].Cycles; got != 1_500_000-(2_064_000-1_000_000) {
+	if got := d.jobs[0].cycles; got != 1_500_000-(2_064_000-1_000_000) {
 		t.Errorf("second job remaining = %d, want 436000", got)
 	}
 }

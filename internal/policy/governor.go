@@ -129,15 +129,8 @@ func (g *Governor) Decide(util int, cur cpu.Step) Decision {
 	default:
 		g.telHold.Inc()
 	}
-	d.V = g.voltageFor(d.Step)
+	d.V = voltageFor(g.voltageScale, d.Step)
 	return d
-}
-
-func (g *Governor) voltageFor(s cpu.Step) cpu.Voltage {
-	if g.voltageScale && cpu.VoltageOK(s, cpu.VLow) {
-		return cpu.VLow
-	}
-	return cpu.VHigh
 }
 
 // OnQuantum implements the kernel's SpeedPolicy interface.

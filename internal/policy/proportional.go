@@ -52,11 +52,7 @@ func (p *Proportional) OnQuantum(_ sim.Time, util int, cur cpu.Step, _ cpu.Volta
 	if step != cur {
 		p.changes++
 	}
-	v := cpu.VHigh
-	if p.VoltageScale && cpu.VoltageOK(step, cpu.VLow) {
-		v = cpu.VLow
-	}
-	return step, v
+	return step, voltageFor(p.VoltageScale, step)
 }
 
 // Changes reports how many step changes the governor has made.

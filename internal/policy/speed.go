@@ -73,3 +73,13 @@ func SetterByName(name string) (SpeedSetter, bool) {
 		return nil, false
 	}
 }
+
+// voltageFor is the core voltage every speed policy pairs with its chosen
+// step: 1.23 V when voltage scaling is on and the step allows it, else
+// the full 1.5 V.
+func voltageFor(voltageScale bool, s cpu.Step) cpu.Voltage {
+	if voltageScale && cpu.VoltageOK(s, cpu.VLow) {
+		return cpu.VLow
+	}
+	return cpu.VHigh
+}

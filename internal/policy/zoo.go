@@ -3,17 +3,17 @@ package policy
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"clocksched/internal/cpu"
 	"clocksched/internal/sim"
 )
 
 // This file adapts the deadline-feasible family of feasible.go — AVR, OA,
-// BKP — into online kernel speed policies with the same shape as
-// DeadlineScheduler: per-quantum OnQuantum, application-submitted
-// deadlines, and a retire estimate that drains work by observed busy
-// cycles. Two sources feed the job set:
+// BKP — into online kernel speed policies built on DeadlineScheduler's
+// job set: per-quantum OnQuantum, application-submitted deadlines, and
+// the shared retire estimate that drains work by observed busy cycles.
+// OA is the job set's own rule, the one DeadlineScheduler runs. Two
+// sources feed the job set:
 //
 //   - Applications that advertise deadlines (the MPEG player) submit jobs
 //     directly through the workload.DeadlineSink interface, exactly as
@@ -30,16 +30,6 @@ import (
 // theorem, so like DeadlineScheduler these policies pin the top step while
 // any overdue job is pending.
 
-// zooJob is one obligation tracked by a ZooScheduler.
-type zooJob struct {
-	id           int
-	release, due sim.Time
-	cycles       int64 // remaining (retire estimate)
-	orig         int64 // as submitted; BKP's windowed density uses this
-	overdue      bool
-	synthesized  bool
-}
-
 // ZooAlgo selects the speed rule of a ZooScheduler.
 type ZooAlgo string
 
@@ -53,6 +43,7 @@ const (
 // kernel speed policy. It satisfies the kernel SpeedPolicy interface and
 // the workload DeadlineSink interface.
 type ZooScheduler struct {
+	jobSet
 	algo ZooAlgo
 	// VoltageScale drops the core to 1.23 V when the chosen step allows.
 	VoltageScale bool
@@ -61,14 +52,10 @@ type ZooScheduler struct {
 	// SlackQuanta is the deadline slack granted to synthesized jobs.
 	SlackQuanta int
 
-	jobs    []zooJob // sorted by due
-	history []zooJob // BKP only: released-work records, window-pruned
+	history []job // BKP only: released-work records, window-pruned
 	nextID  int
 	sawApp  bool
 	lastNow sim.Time
-
-	// Expired counts jobs whose deadlines passed before completion.
-	Expired int
 }
 
 // NewZooScheduler builds a scheduler for the given algorithm with the
@@ -88,14 +75,9 @@ func NewZooScheduler(algo ZooAlgo, slackQuanta int) (*ZooScheduler, error) {
 // Algo reports which rule the scheduler runs.
 func (z *ZooScheduler) Algo() ZooAlgo { return z.algo }
 
-// Pending returns the number of outstanding jobs.
-func (z *ZooScheduler) Pending() int { return len(z.jobs) }
-
-func (z *ZooScheduler) insert(j zooJob) {
-	at := sort.Search(len(z.jobs), func(i int) bool { return z.jobs[i].due > j.due })
-	z.jobs = append(z.jobs, zooJob{})
-	copy(z.jobs[at+1:], z.jobs[at:])
-	z.jobs[at] = j
+// add inserts a job, keeping BKP's release history.
+func (z *ZooScheduler) add(j job) {
+	z.insert(j)
 	if z.algo == AlgoBKP {
 		z.history = append(z.history, j)
 	}
@@ -120,49 +102,18 @@ func (z *ZooScheduler) Submit(cycles int64, due sim.Time) int {
 	if cycles <= 0 {
 		return z.nextID
 	}
-	z.insert(zooJob{id: z.nextID, release: z.lastNow, due: due, cycles: cycles, orig: cycles})
+	z.add(job{id: z.nextID, release: z.lastNow, due: due, cycles: cycles, orig: cycles})
 	return z.nextID
-}
-
-// Complete removes a job the application has finished. Unknown ids are
-// ignored (the retire estimate may have drained the job already).
-func (z *ZooScheduler) Complete(id int) {
-	for i, j := range z.jobs {
-		if j.id == id {
-			z.jobs = append(z.jobs[:i], z.jobs[i+1:]...)
-			return
-		}
-	}
-}
-
-// retire deducts the cycles executed during the last quantum from the
-// earliest-due jobs, exactly as DeadlineScheduler does.
-func (z *ZooScheduler) retire(utilPP10K int, s cpu.Step) {
-	busyMicros := int64(utilPP10K) * int64(z.Quantum) / FullUtil
-	cycles := busyMicros * s.KHz() / 1000
-	for len(z.jobs) > 0 && cycles > 0 {
-		if z.jobs[0].cycles > cycles {
-			z.jobs[0].cycles -= cycles
-			return
-		}
-		cycles -= z.jobs[0].cycles
-		z.jobs = z.jobs[1:]
-	}
 }
 
 // synthesize turns the last quantum's observed busy cycles into a job due
 // SlackQuanta quanta out. Only runs before any application submission.
-func (z *ZooScheduler) synthesize(now sim.Time, utilPP10K int, s cpu.Step) {
-	if z.sawApp || utilPP10K <= 0 {
-		return
-	}
-	busyMicros := int64(utilPP10K) * int64(z.Quantum) / FullUtil
-	cycles := busyMicros * s.KHz() / 1000
-	if cycles <= 0 {
+func (z *ZooScheduler) synthesize(now sim.Time, cycles int64) {
+	if z.sawApp || cycles <= 0 {
 		return
 	}
 	z.nextID++
-	z.insert(zooJob{
+	z.add(job{
 		id:          z.nextID,
 		release:     now - sim.Time(z.Quantum),
 		due:         now + sim.Time(int64(z.SlackQuanta)*int64(z.Quantum)),
@@ -172,20 +123,6 @@ func (z *ZooScheduler) synthesize(now sim.Time, utilPP10K int, s cpu.Step) {
 	})
 }
 
-// markExpired flags jobs whose deadlines have passed; they pin the clock
-// until drained, like DeadlineScheduler's.
-func (z *ZooScheduler) markExpired(now sim.Time) {
-	for i := range z.jobs {
-		if z.jobs[i].due > now {
-			break
-		}
-		if !z.jobs[i].overdue {
-			z.jobs[i].overdue = true
-			z.Expired++
-		}
-	}
-}
-
 // requiredKHz evaluates the algorithm's speed rule. Any overdue job
 // demands the top step (the unbounded-speed regime is out of reach).
 func (z *ZooScheduler) requiredKHz(now sim.Time) int64 {
@@ -193,17 +130,7 @@ func (z *ZooScheduler) requiredKHz(now sim.Time) int64 {
 	switch z.algo {
 	case AlgoOA:
 		// Max density of remaining work over any deadline horizon.
-		var cum int64
-		for _, j := range z.jobs {
-			cum += j.cycles
-			horizon := int64(j.due - now)
-			if horizon <= 0 {
-				return cpu.MaxStep.KHz()
-			}
-			if n := (cum*1000 + horizon - 1) / horizon; n > need {
-				need = n
-			}
-		}
+		return z.oaKHz(now)
 	case AlgoAVR:
 		// Sum of the active jobs' own densities.
 		for _, j := range z.jobs {
@@ -261,16 +188,13 @@ func (z *ZooScheduler) requiredKHz(now sim.Time) int64 {
 
 // OnQuantum implements the kernel's SpeedPolicy interface.
 func (z *ZooScheduler) OnQuantum(now sim.Time, utilPP10K int, cur cpu.Step, _ cpu.Voltage) (cpu.Step, cpu.Voltage) {
-	z.retire(utilPP10K, cur)
-	z.synthesize(now, utilPP10K, cur)
+	cycles := busyCycles(utilPP10K, z.Quantum, cur)
+	z.retire(cycles)
+	z.synthesize(now, cycles)
 	z.markExpired(now)
 	z.lastNow = now
 	step := cpu.StepForKHz(z.requiredKHz(now))
-	v := cpu.VHigh
-	if z.VoltageScale && cpu.VoltageOK(step, cpu.VLow) {
-		v = cpu.VLow
-	}
-	return step, v
+	return step, voltageFor(z.VoltageScale, step)
 }
 
 // Name identifies the policy in the paper's style.

@@ -4,100 +4,38 @@ package clocksched
 // SweepSpec into contiguous runs of grid cells, ships each run to a peer
 // daemon as a self-contained explicit-cells SweepSpec, and stitches the
 // returned results back into the full grid. The decomposition is exact by
-// construction: a shard's cells are the same CellSpec projections the
-// peer's own grid expansion would produce, the peer resolves defaults the
-// same way a local run does, and MergeShardResults restores the original
-// axis dimensions — so EncodeSweepResult of the merged result is
-// byte-identical to an uninterrupted serial run of the whole spec,
-// whatever mix of peers (or local fallback) computed the pieces.
+// construction: a spec has no grid expansion of its own — NumCells, Shard
+// and MergeShardResults read cells and axis dimensions from
+// SweepConfig.grid, the same expansion a local Sweep runs, and project
+// each cell back onto its wire form with newCellSpec. A peer resolves
+// defaults the same way a local run does, and MergeShardResults restores
+// the original axis dimensions — so EncodeSweepResult of the merged
+// result is byte-identical to an uninterrupted serial run of the whole
+// spec, whatever mix of peers (or local fallback) computed the pieces.
 
 import "fmt"
-
-// cellSpecs expands the spec's grid into per-cell specs in grid order —
-// workload-major, exactly mirroring SweepConfig.grid — with the shared
-// settings copied onto every axis-built cell. An explicit-cells spec
-// returns its cells unchanged.
-func (s SweepSpec) cellSpecs() []CellSpec {
-	if len(s.Cells) > 0 {
-		cells := make([]CellSpec, len(s.Cells))
-		copy(cells, s.Cells)
-		return cells
-	}
-	ws := s.Workloads
-	if len(ws) == 0 {
-		ws = []Workload{""}
-	}
-	ps := s.Policies
-	if len(ps) == 0 {
-		ps = []Policy{{}}
-	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{0}
-	}
-	cells := make([]CellSpec, 0, len(ws)*len(ps)*len(seeds))
-	for _, w := range ws {
-		for _, p := range ps {
-			for _, sd := range seeds {
-				cells = append(cells, CellSpec{
-					Workload:      w,
-					Policy:        p,
-					Seed:          sd,
-					Duration:      s.Duration,
-					DeadlineSlack: s.DeadlineSlack,
-					CaptureTrace:  s.CaptureTrace,
-					Faults:        s.Faults,
-					Watchdog:      s.Watchdog,
-				})
-			}
-		}
-	}
-	return cells
-}
-
-// dims reports the spec's axis dimensions as SweepConfig.grid would:
-// empty axes contribute their single default value, and an explicit-cells
-// spec is dimensionless (0, 0, 0).
-func (s SweepSpec) dims() (nw, np, ns int) {
-	if len(s.Cells) > 0 {
-		return 0, 0, 0
-	}
-	nw, np, ns = len(s.Workloads), len(s.Policies), len(s.Seeds)
-	if nw == 0 {
-		nw = 1
-	}
-	if np == 0 {
-		np = 1
-	}
-	if ns == 0 {
-		ns = 1
-	}
-	return nw, np, ns
-}
 
 // NumCells reports the spec's grid size: the axis cross product, or the
 // explicit Cells length. It does not check the version stamp — counting
 // cells is shape arithmetic, not execution.
-func (s SweepSpec) NumCells() int {
-	if len(s.Cells) > 0 {
-		return len(s.Cells)
-	}
-	nw, np, ns := s.dims()
-	return nw * np * ns
-}
+func (s SweepSpec) NumCells() int { return s.config().GridSize() }
 
 // Shard returns the sub-spec covering grid cells [lo, hi) as an
 // explicit-cells spec carrying the parent's version stamp and
 // failure-handling knobs. Running the shard anywhere produces exactly the
 // cells a full run would produce at those grid positions.
 func (s SweepSpec) Shard(lo, hi int) (SweepSpec, error) {
-	total := s.NumCells()
-	if lo < 0 || hi > total || lo >= hi {
-		return SweepSpec{}, fmt.Errorf("clocksched: shard [%d, %d) out of grid [0, %d)", lo, hi, total)
+	grid, _, _, _ := s.config().grid()
+	if lo < 0 || hi > len(grid) || lo >= hi {
+		return SweepSpec{}, fmt.Errorf("clocksched: shard [%d, %d) out of grid [0, %d)", lo, hi, len(grid))
+	}
+	cells := make([]CellSpec, hi-lo)
+	for i, c := range grid[lo:hi] {
+		cells[i] = newCellSpec(c)
 	}
 	return SweepSpec{
 		SimVersion:  s.SimVersion,
-		Cells:       s.cellSpecs()[lo:hi],
+		Cells:       cells,
 		FailFast:    s.FailFast,
 		CellTimeout: s.CellTimeout,
 		Retries:     s.Retries,
@@ -112,8 +50,8 @@ func (s SweepSpec) Shard(lo, hi int) (SweepSpec, error) {
 // is summed; it is runtime provenance and never crosses the canonical
 // encoding anyway.
 func MergeShardResults(spec SweepSpec, shards []*SweepResult) (*SweepResult, error) {
-	total := spec.NumCells()
-	nw, np, ns := spec.dims()
+	grid, nw, np, ns := spec.config().grid()
+	total := len(grid)
 	merged := &SweepResult{
 		Cells: make([]SweepCell, 0, total),
 		nw:    nw, np: np, ns: ns,

@@ -44,11 +44,17 @@ func TestSpecNumCellsAndShardBounds(t *testing.T) {
 		t.Errorf("shard dropped shared spec fields: %+v", sub)
 	}
 	// Explicit-cells sub-spec must reproduce the same cells the full grid
-	// would expand to, in grid order.
-	all := spec.cellSpecs()
+	// would expand to, in grid order: workload-major, seeds fastest.
 	for i, cs := range sub.Cells {
-		if cs != all[4+i] {
-			t.Errorf("shard cell %d = %+v, want %+v", i, cs, all[4+i])
+		idx := 4 + i
+		want := CellSpec{
+			Workload: spec.Workloads[idx/6],
+			Policy:   spec.Policies[idx/3%2],
+			Seed:     spec.Seeds[idx%3],
+			Duration: spec.Duration,
+		}
+		if cs != want {
+			t.Errorf("shard cell %d = %+v, want %+v", i, cs, want)
 		}
 	}
 }

@@ -186,6 +186,12 @@ func (s SweepSpec) Config() (SweepConfig, error) {
 		return SweepConfig{}, fmt.Errorf("%w: spec %q, this process %q",
 			ErrVersionMismatch, s.SimVersion, sim.Version)
 	}
+	return s.config(), nil
+}
+
+// config is Config without the version check: the spec's shape, for the
+// grid arithmetic of shard.go, which never runs a cell.
+func (s SweepSpec) config() SweepConfig {
 	cfg := SweepConfig{
 		Workloads:     append([]Workload(nil), s.Workloads...),
 		Policies:      append([]Policy(nil), s.Policies...),
@@ -203,7 +209,7 @@ func (s SweepSpec) Config() (SweepConfig, error) {
 	for _, cs := range s.Cells {
 		cfg.Cells = append(cfg.Cells, cs.config())
 	}
-	return cfg, nil
+	return cfg
 }
 
 // sweepCellEnvelope is one cell of the canonical SweepResult wire form:
@@ -268,6 +274,10 @@ func DecodeSweepResult(b []byte) (*SweepResult, error) {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
 		return nil, fmt.Errorf("clocksched: decoding sweep result: %w", err)
 	}
+	if !gridShapeOK(env.NW, env.NP, env.NS, len(env.Cells)) {
+		return nil, fmt.Errorf("clocksched: decoding sweep result: grid %d×%d×%d does not hold %d cells",
+			env.NW, env.NP, env.NS, len(env.Cells))
+	}
 	r := &SweepResult{
 		Cells: make([]SweepCell, len(env.Cells)),
 		nw:    env.NW, np: env.NP, ns: env.NS,
@@ -287,4 +297,15 @@ func DecodeSweepResult(b []byte) (*SweepResult, error) {
 		r.Cells[i] = cell
 	}
 	return r, nil
+}
+
+// gridShapeOK reports whether axis dimensions fit n cells: all zero (an
+// explicit grid), or all positive with nw·np·ns == n, so CellAt can never
+// index past the cells. Division keeps hostile dimensions from
+// overflowing the product.
+func gridShapeOK(nw, np, ns, n int) bool {
+	if nw == 0 && np == 0 && ns == 0 {
+		return true
+	}
+	return nw > 0 && np > 0 && ns > 0 && n%nw == 0 && n/nw%np == 0 && n/nw/np == ns
 }

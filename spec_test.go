@@ -3,6 +3,7 @@ package clocksched
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -215,5 +216,48 @@ func TestSweepResultEncodingCarriesErrors(t *testing.T) {
 	}
 	if back.Cells[0].Err == nil || back.Cells[0].Err.Error() != res.Cells[0].Err.Error() {
 		t.Fatalf("cell error lost: got %v, want %v", back.Cells[0].Err, res.Cells[0].Err)
+	}
+}
+
+// TestDecodeSweepResultRejectsMismatchedDims feeds DecodeSweepResult
+// envelopes whose axis dimensions disagree with their cell count. Such
+// bytes arrive from a daemon over the wire; accepting them would let
+// CellAt index past the cells.
+func TestDecodeSweepResultRejectsMismatchedDims(t *testing.T) {
+	encode := func(nw, np, ns, cells int) []byte {
+		t.Helper()
+		env := sweepResultEnvelope{SimVersion: SimVersion(), NW: nw, NP: np, NS: ns,
+			Cells: make([]sweepCellEnvelope, cells)}
+		for i := range env.Cells {
+			env.Cells[i].Error = "x"
+		}
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(env); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, tc := range []struct {
+		nw, np, ns, cells int
+		ok                bool
+	}{
+		{1, 1, 5, 1, false},
+		{2, 3, 4, 23, false},
+		{0, 1, 1, 1, false},
+		{1, 0, 0, 1, false},
+		{-1, -1, 1, 1, false},
+		{1 << 32, 1 << 32, 1, 0, false},
+		{0, 0, 0, 3, true},
+		{2, 3, 4, 24, true},
+		{1, 1, 1, 1, true},
+	} {
+		r, err := DecodeSweepResult(encode(tc.nw, tc.np, tc.ns, tc.cells))
+		if (err == nil) != tc.ok {
+			t.Errorf("dims %d×%d×%d over %d cells: err = %v, want ok=%v", tc.nw, tc.np, tc.ns, tc.cells, err, tc.ok)
+			continue
+		}
+		if err == nil && tc.nw > 0 && r.CellAt(tc.nw-1, tc.np-1, tc.ns-1) == nil {
+			t.Errorf("dims %d×%d×%d: last cell missing", tc.nw, tc.np, tc.ns)
+		}
 	}
 }
